@@ -29,6 +29,13 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def _integer(value, name: str) -> int:
+    """value itself when it is an integer; a float such as 2.5 is not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 KNOWN_MODELS = ("lma_deepar", "deepar", "seasonal_naive", "holt_winters")
 POINT_STATISTICS = ("median", "mean")
 
@@ -195,10 +202,12 @@ class RunConfig:
         return self._build("holt_winters", make)
 
     def split_spec(self) -> SplitSpec:
+        split = self.data["split"]
         return self._build(
             "split",
             lambda: SplitSpec(
-                int(self.data["split"]["pred_start"]), int(self.data["split"]["pred_end"])
+                _integer(split["pred_start"], "split.pred_start"),
+                _integer(split["pred_end"], "split.pred_end"),
             ),
         )
 
@@ -206,10 +215,7 @@ class RunConfig:
         steps = self.data["sweep"]["steps"]
         if not isinstance(steps, (list, tuple)) or not steps:
             raise ConfigError("sweep.steps must be a nonempty list of integers")
-        try:
-            return tuple(int(s) for s in steps)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep.steps must be integers: {exc}") from exc
+        return tuple(_integer(s, "each of sweep.steps") for s in steps)
 
     def sweep_models(self) -> tuple[str, ...]:
         models = self.data["sweep"]["models"]
@@ -233,27 +239,16 @@ class RunConfig:
         return statistic
 
     def sweep_n_samples(self) -> int:
-        n = self.data["sweep"]["n_samples"]
-        try:
-            n = int(n)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep.n_samples must be an integer: {exc}") from exc
+        n = _integer(self.data["sweep"]["n_samples"], "sweep.n_samples")
         if n < 1:
             raise ConfigError(f"sweep.n_samples must be >= 1, got {n}")
         return n
 
     def sweep_seed(self) -> int:
-        try:
-            return int(self.data["sweep"]["seed"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep.seed must be an integer: {exc}") from exc
+        return _integer(self.data["sweep"]["seed"], "sweep.seed")
 
     def naive_season(self) -> int:
-        season = self.data["sweep"]["naive_season"]
-        try:
-            season = int(season)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep.naive_season must be an integer: {exc}") from exc
+        season = _integer(self.data["sweep"]["naive_season"], "sweep.naive_season")
         if season < 1:
             raise ConfigError(f"sweep.naive_season must be >= 1, got {season}")
         return season

@@ -9,8 +9,6 @@ trajectories by ancestral sampling.
 
 from .params import LayerParams, NetworkParams, init_params
 from .network import (
-    HiddenState,
-    LikelihoodParams,
     forward_window,
     gaussian_nll,
     lstm_cell,
@@ -28,8 +26,6 @@ __all__ = [
     "LayerParams",
     "NetworkParams",
     "init_params",
-    "HiddenState",
-    "LikelihoodParams",
     "lstm_cell",
     "forward_window",
     "gaussian_nll",

@@ -2,11 +2,12 @@
 
 The conditioning pass and the sampling pass run the same network with the
 same parameter object.  A forecast first replays the last context_length
-conditioning steps from the all-zero state, then, per trajectory, alternates
-drawing from the step's Gaussian and feeding the raw draw back as the next
-lag.  Each trajectory owns an independent seed sub-stream, so the sample
-matrix does not depend on computation order or on how many trajectories the
-caller asked for (a larger request extends the matrix row-wise).
+conditioning steps from the all-zero state, then advances the trajectories
+together in blocks of BLOCK_ROWS, each step drawing from the step's Gaussian
+and feeding the raw draw back as the next lag.  Each trajectory owns an
+independent seed sub-stream, so the sample matrix does not depend on
+computation order or on how many trajectories the caller asked for (a larger
+request extends the matrix row-wise).
 """
 
 from __future__ import annotations
@@ -16,12 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._rng import substream
-from .network import _head, _step, forward_window, series_scale
+from .network import advance, forward_window, series_scale
 from .training import TrainedModel
 
 __all__ = ["Forecast", "ForecastError", "point_forecast", "sample_forecast"]
 
 POINT_STATISTICS = ("median", "mean")
+
+# Trajectories run through the network in blocks of this many rows, the last
+# block padded.  A BLAS kernel may round row s of a matrix product differently
+# depending on how many rows the product has, so a fixed block shape is what
+# keeps trajectory s bit-identical however many samples are requested.
+BLOCK_ROWS = 8
 
 
 class ForecastError(ValueError):
@@ -139,26 +146,25 @@ def sample_forecast(
     lags = np.empty(context)
     lags[1:] = targets[:-1]
     lags[0] = conditioning[m - context - 1] if m > context else 0.0
-    _, enc_state = forward_window(lags, x_enc, model.params, scale, cfg.sigma_floor)
+    _, _, (enc_h, enc_c) = forward_window(lags, x_enc, model.params, scale, cfg.sigma_floor)
 
-    last_lag = conditioning[-1] / scale
-    samples = np.empty((n_samples, horizon))
-    x_dim = 1 + n_channels
-    x_vec = np.empty(x_dim)
+    n_blocks = -(-n_samples // BLOCK_ROWS)
+    eps = np.zeros((n_blocks * BLOCK_ROWS, horizon))
     for s in range(n_samples):
-        rng = substream(*seed_ids, s)
-        state = enc_state
-        lag = last_lag
+        eps[s] = substream(*seed_ids, s).standard_normal(horizon)
+    samples = np.empty_like(eps)
+    x = np.empty((BLOCK_ROWS, 1 + n_channels))
+    for rows in range(0, eps.shape[0], BLOCK_ROWS):
+        block = slice(rows, rows + BLOCK_ROWS)
+        h = np.repeat(enc_h[:, None, :], BLOCK_ROWS, axis=1)
+        c = np.repeat(enc_c[:, None, :], BLOCK_ROWS, axis=1)
+        x[:, 0] = conditioning[-1] / scale
         for t in range(horizon):
-            x_vec[0] = lag
             if n_channels:
-                x_vec[1:] = covariates[:, m + t]
-            state, top_h = _step(x_vec, state, model.params)
-            theta = _head(top_h, model.params, cfg.sigma_floor)
-            draw = float(rng.normal(theta.mu, theta.sigma))
-            samples[s, t] = draw
-            lag = draw
-    rescaled = np.maximum(samples * scale, 0.0)
+                x[:, 1:] = covariates[:, m + t]
+            mu, sigma = advance(x, h, c, model.params, cfg.sigma_floor)
+            samples[block, t] = x[:, 0] = mu + sigma * eps[block, t]
+    rescaled = np.maximum(samples[:n_samples] * scale, 0.0)
     return Forecast(rescaled, scale, seed_ids)
 
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .network import DEFAULT_SIGMA_FLOOR, sigmoid, softplus
+from .network import DEFAULT_SIGMA_FLOOR, lstm_cell, sigmoid, softplus
 from .params import NetworkParams
 
 __all__ = ["batch_loss_and_grad", "window_loss_and_grad"]
@@ -37,43 +37,20 @@ def _forward_batch(
     hidden = params.hidden_size
     h_all = np.zeros((length + 1, n_layers, n_batch, hidden))
     c_all = np.zeros((length + 1, n_layers, n_batch, hidden))
-    gate_i = np.empty((length, n_layers, n_batch, hidden))
-    gate_f = np.empty((length, n_layers, n_batch, hidden))
-    gate_g = np.empty((length, n_layers, n_batch, hidden))
-    gate_o = np.empty((length, n_layers, n_batch, hidden))
-    tanh_c = np.empty((length, n_layers, n_batch, hidden))
+    # input, forget, candidate and output gates, tanh(c): (L, layers, B, H) each
+    acts = tuple(np.empty((length, n_layers, n_batch, hidden)) for _ in range(5))
     for t in range(length):
         x = inputs[:, t, :]
         for idx, layer in enumerate(params.layers):
-            a = x @ layer.wx.T + h_all[t, idx] @ layer.wh.T + layer.b
-            gi = sigmoid(a[:, :hidden])
-            gf = sigmoid(a[:, hidden : 2 * hidden])
-            gg = np.tanh(a[:, 2 * hidden : 3 * hidden])
-            go = sigmoid(a[:, 3 * hidden :])
-            c = gf * c_all[t, idx] + gi * gg
-            tc = np.tanh(c)
-            h = go * tc
+            h, c, gates = lstm_cell(x, (h_all[t, idx], c_all[t, idx]), layer)
+            for cache, g in zip(acts, gates):
+                cache[t, idx] = g
             h_all[t + 1, idx] = h
             c_all[t + 1, idx] = c
-            gate_i[t, idx] = gi
-            gate_f[t, idx] = gf
-            gate_g[t, idx] = gg
-            gate_o[t, idx] = go
-            tanh_c[t, idx] = tc
             x = h
     top_h = h_all[1:, n_layers - 1].transpose(1, 0, 2)
     raw = top_h @ params.head_w.T + params.head_b
-    caches = {
-        "h_all": h_all,
-        "c_all": c_all,
-        "gate_i": gate_i,
-        "gate_f": gate_f,
-        "gate_g": gate_g,
-        "gate_o": gate_o,
-        "tanh_c": tanh_c,
-        "top_h": top_h,
-        "inputs": inputs,
-    }
+    caches = {"h_all": h_all, "c_all": c_all, "acts": acts, "top_h": top_h, "inputs": inputs}
     return raw[:, :, 0], raw[:, :, 1], caches
 
 
@@ -88,11 +65,7 @@ def _backward_batch(
     hidden = params.hidden_size
     h_all = caches["h_all"]
     c_all = caches["c_all"]
-    gate_i = caches["gate_i"]
-    gate_f = caches["gate_f"]
-    gate_g = caches["gate_g"]
-    gate_o = caches["gate_o"]
-    tanh_c = caches["tanh_c"]
+    acts = caches["acts"]
     inputs = caches["inputs"]
     d_raw = np.stack([d_mu, d_spre], axis=2)
     d_head_w = np.einsum("btr,bth->rh", d_raw, caches["top_h"])
@@ -112,11 +85,7 @@ def _backward_batch(
                 dh += d_top[:, t]
             if dx_above is not None:
                 dh += dx_above
-            gi = gate_i[t, idx]
-            gf = gate_f[t, idx]
-            gg = gate_g[t, idx]
-            go = gate_o[t, idx]
-            tc = tanh_c[t, idx]
+            gi, gf, gg, go, tc = (cache[t, idx] for cache in acts)
             dct = dc_next[idx] + dh * go * (1.0 - tc * tc)
             da[:, :hidden] = dct * gg * gi * (1.0 - gi)
             da[:, hidden : 2 * hidden] = dct * c_all[t, idx] * gf * (1.0 - gf)

@@ -3,21 +3,21 @@
 The model consumes, at each step t, the previous target scaled by the series
 scale together with that step's covariate column, runs it through the stacked
 recurrent layers, and maps the top hidden vector to a location and a positive
-spread.  Everything here is deterministic; sampling lives in forecasting.
+spread.  ``lstm_cell`` is the one gated update: training, the conditioning
+pass and the sampler all run every layer through it, on rows of any leading
+batch shape.  Everything here is deterministic; sampling lives in forecasting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import LayerParams, NetworkParams
 
 __all__ = [
-    "HiddenState",
-    "LikelihoodParams",
+    "advance",
     "forward_window",
     "gaussian_nll",
     "lstm_cell",
@@ -45,90 +45,42 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class LikelihoodParams:
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        mu = float(self.mu)
-        sigma = float(self.sigma)
-        if not (math.isfinite(mu) and math.isfinite(sigma)):
-            raise ValueError("likelihood parameters must be finite")
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-
-
-@dataclass(frozen=True)
-class HiddenState:
-    """Stacked hidden and cell vectors, one row per layer."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        h = np.asarray(self.h, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64)
-        if h.ndim != 2 or h.shape != c.shape:
-            raise ValueError(f"state arrays must share a (layers, hidden) shape, got {h.shape} and {c.shape}")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
-            raise ValueError("non-finite values in hidden state")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "c", c)
-
-    @classmethod
-    def zeros(cls, num_layers: int, hidden_size: int) -> "HiddenState":
-        return cls(np.zeros((num_layers, hidden_size)), np.zeros((num_layers, hidden_size)))
-
-
 def lstm_cell(
     x: np.ndarray, state: tuple[np.ndarray, np.ndarray], layer: LayerParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """One gated update of a single layer.
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """One gated update of a single layer for rows x (..., input_size).
 
     Gate pre-activations are stacked in ``layer`` as four blocks of
-    hidden_size rows in the order input, forget, candidate, output.
+    hidden_size rows in the order input, forget, candidate, output.  Returns
+    the new hidden and cell rows plus the activations (input, forget,
+    candidate, output gate, tanh of the cell) that backpropagation reuses.
     """
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(state[0], dtype=np.float64)
-    c_prev = np.asarray(state[1], dtype=np.float64)
     hs = layer.hidden_size
-    if x.shape != (layer.input_size,):
-        raise ValueError(f"expected input shape ({layer.input_size},), got {x.shape}")
-    if h_prev.shape != (hs,) or c_prev.shape != (hs,):
-        raise ValueError(f"expected state shape ({hs},), got {h_prev.shape} and {c_prev.shape}")
-    a = layer.wx @ x + layer.wh @ h_prev + layer.b
-    gi = sigmoid(a[:hs])
-    gf = sigmoid(a[hs : 2 * hs])
-    gg = np.tanh(a[2 * hs : 3 * hs])
-    go = sigmoid(a[3 * hs :])
+    h_prev, c_prev = state
+    a = x @ layer.wx.T + h_prev @ layer.wh.T + layer.b
+    gi = sigmoid(a[..., :hs])
+    gf = sigmoid(a[..., hs : 2 * hs])
+    gg = np.tanh(a[..., 2 * hs : 3 * hs])
+    go = sigmoid(a[..., 3 * hs :])
     c = gf * c_prev + gi * gg
-    h = go * np.tanh(c)
-    return h, c
+    tc = np.tanh(c)
+    h = go * tc
+    return h, c, (gi, gf, gg, go, tc)
 
 
-def _step(
-    x: np.ndarray, state: HiddenState, params: NetworkParams
-) -> tuple[HiddenState, np.ndarray]:
-    """Advance every layer one step; the top hidden vector feeds the head."""
-    h_rows = np.empty_like(state.h)
-    c_rows = np.empty_like(state.c)
-    layer_input = x
+def advance(
+    x: np.ndarray, h: np.ndarray, c: np.ndarray, params: NetworkParams, sigma_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the stacked recurrence and the head for rows x (B, input_size).
+
+    h and c are (layers, B, hidden) and are updated in place.  Returns the
+    location and spread of each row, both (B,).
+    """
     for idx, layer in enumerate(params.layers):
-        h, c = lstm_cell(layer_input, (state.h[idx], state.c[idx]), layer)
-        h_rows[idx] = h
-        c_rows[idx] = c
-        layer_input = h
-    return HiddenState(h_rows, c_rows), layer_input
-
-
-def _head(
-    top_h: np.ndarray, params: NetworkParams, sigma_floor: float
-) -> LikelihoodParams:
-    raw = params.head_w @ top_h + params.head_b
-    return LikelihoodParams(float(raw[0]), float(softplus(raw[1])) + sigma_floor)
+        h[idx], c[idx], _ = lstm_cell(x, (h[idx], c[idx]), layer)
+        x = h[idx]
+    raw = x @ params.head_w.T + params.head_b
+    return raw[:, 0], softplus(raw[:, 1]) + sigma_floor
 
 
 def series_scale(conditioning: np.ndarray) -> float:
@@ -143,20 +95,22 @@ def series_scale(conditioning: np.ndarray) -> float:
     return 1.0 + float(np.mean(values))
 
 
-def gaussian_nll(z: float, theta: LikelihoodParams, scale: float) -> float:
-    """Negative log density of z/scale under Normal(mu, sigma)."""
-    z = float(z)
+def gaussian_nll(
+    z: np.ndarray, mu: np.ndarray, sigma: np.ndarray, scale: float
+) -> np.ndarray:
+    """Elementwise negative log density of z/scale under Normal(mu, sigma)."""
+    z, mu, sigma = (np.asarray(v, dtype=np.float64) for v in (z, mu, sigma))
     scale = float(scale)
-    if not math.isfinite(z):
+    if not np.all(np.isfinite(z)):
         raise ValueError("target value must be finite")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    if theta.sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {theta.sigma}")
-    resid = z / scale - theta.mu
-    return 0.5 * math.log(2.0 * math.pi * theta.sigma**2) + resid**2 / (
-        2.0 * theta.sigma**2
-    )
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        raise ValueError("likelihood parameters must be finite")
+    if np.any(sigma <= 0.0):
+        raise ValueError("sigma must be positive")
+    resid = z / scale - mu
+    return 0.5 * np.log(2.0 * math.pi * sigma**2) + resid**2 / (2.0 * sigma**2)
 
 
 def forward_window(
@@ -165,13 +119,13 @@ def forward_window(
     params: NetworkParams,
     scale: float,
     sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-) -> tuple[list[LikelihoodParams], HiddenState]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Deterministic pass over one window, starting from the all-zero state.
 
     z_lags holds the lagged targets in data units, one per step; x_window is
     (L, K) covariate rows aligned with the steps, or None when the model runs
-    without covariate channels.  Returns the per-step likelihood parameters
-    and the final stacked state.
+    without covariate channels.  Returns the per-step location and spread,
+    each (L,), and the final hidden and cell rows, each (layers, hidden).
     """
     z_lags = np.asarray(z_lags, dtype=np.float64)
     if z_lags.ndim != 1 or z_lags.size == 0:
@@ -199,9 +153,10 @@ def forward_window(
         if not np.all(np.isfinite(x_window)):
             raise ValueError("non-finite covariate values")
         inputs = np.concatenate([(z_lags / scale)[:, None], x_window], axis=1)
-    state = HiddenState.zeros(params.num_layers, params.hidden_size)
-    outputs: list[LikelihoodParams] = []
+    h = np.zeros((params.num_layers, 1, params.hidden_size))
+    c = np.zeros_like(h)
+    mu = np.empty(length)
+    sigma = np.empty(length)
     for t in range(length):
-        state, top_h = _step(inputs[t], state, params)
-        outputs.append(_head(top_h, params, sigma_floor))
-    return outputs, state
+        mu[t : t + 1], sigma[t : t + 1] = advance(inputs[t : t + 1], h, c, params, sigma_floor)
+    return mu, sigma, (h[:, 0], c[:, 0])

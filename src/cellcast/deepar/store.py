@@ -19,6 +19,8 @@ the byte level.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -69,6 +71,13 @@ def save_model(model: TrainedModel, path: str) -> None:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
+    """count bytes, checked against what is left of the file before reading,
+    so a corrupt length field cannot ask for an allocation the file cannot fill."""
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > remaining:
+        raise ModelStoreError(
+            f"truncated model file: {what} needs {count} bytes, {remaining} remain"
+        )
     data = fh.read(count)
     if len(data) != count:
         raise ModelStoreError(f"truncated model file: short read in {what}")
@@ -101,12 +110,13 @@ def load_model(path: str) -> TrainedModel:
                 lma_config = LmaConfig(**lma_raw)
             epoch_nll = tuple(float(v) for v in header["epoch_nll"])
             manifest = [(e["name"], tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
+            if any(d < 0 for _, shape in manifest for d in shape):
+                raise ValueError("negative array dimension in manifest")
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelStoreError(f"{path}: corrupt header: {exc}") from exc
         arrays: dict[str, np.ndarray] = {}
         for name, shape in manifest:
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(fh, count * 8, f"array {name}")
+            raw = _read_exact(fh, math.prod(shape) * 8, f"array {name}")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ModelStoreError(f"{path}: corrupt model file: trailing bytes")

@@ -22,7 +22,7 @@ above the residuals it should match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,6 +72,12 @@ class TrainConfig:
     day_of_week: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            ):
+                raise TrainError(f"{f.name} must be an integer, got {value!r}")
         if self.horizon < 1 or self.context_length < self.horizon:
             raise TrainError(
                 f"need context_length >= horizon >= 1, got {self.context_length}, {self.horizon}"

@@ -18,8 +18,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -48,8 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = tuple(range(15, 32))
-
-THREADS_ENV_VAR = "CELLCAST_THREADS"
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -97,18 +93,6 @@ def stability_std(per_series_rmsle: np.ndarray) -> float:
     return float(np.std(v))
 
 
-def thread_count() -> int:
-    """Worker count for per-series forecasting, from the environment (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise EvalError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(count, 1)
-
-
 class Forecaster(Protocol):
     """Anything the sweep can score: one point-forecast matrix per call."""
 
@@ -125,9 +109,8 @@ class TrainedModelForecaster:
 
     Covariate channels are rebuilt from the training panel with the model's
     own configuration, so a reloaded model forecasts exactly like the
-    original.  Series i draws its trajectories from stream (*seed_ids, i):
-    per-series work is order-independent and may run on a thread pool
-    (CELLCAST_THREADS) without changing results.
+    original.  Series i draws its trajectories from stream (*seed_ids, i), so
+    each series' forecast is independent of the others.
     """
 
     model: TrainedModel
@@ -153,27 +136,16 @@ class TrainedModelForecaster:
             )
         values = train_panel.values
         out = np.empty((train_panel.n_series, horizon))
-
-        def one(i: int) -> np.ndarray:
-            channels = cov.channels[i] if cov is not None else None
+        for i in range(train_panel.n_series):
             fc = sample_forecast(
                 self.model,
                 values[i],
-                channels,
+                cov.channels[i] if cov is not None else None,
                 horizon=horizon,
                 n_samples=self.n_samples,
                 seed=(*seed_ids, i),
             )
-            return point_forecast(fc, self.statistic)
-
-        workers = thread_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for i, row in enumerate(pool.map(one, range(train_panel.n_series))):
-                    out[i] = row
-        else:
-            for i in range(train_panel.n_series):
-                out[i] = one(i)
+            out[i] = point_forecast(fc, self.statistic)
         return out
 
     def describe(self) -> dict:

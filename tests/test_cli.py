@@ -213,6 +213,34 @@ class TestErrors:
         assert run_command(["generate", "--bogus"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("train", "train.hidden_size", "2.5"),
+            ("train", "train.num_layers", "1.5"),
+            ("train", "train.epochs", "1.5"),
+            ("train", "train.batch_size", "8.5"),
+            ("train", "train.context_length", "7.5"),
+            ("train", "train.windows_per_series", "4.5"),
+            ("sweep", "sweep.n_samples", "2.5"),
+            ("sweep", "sweep.seed", "1.5"),
+            ("sweep", "sweep.naive_season", "7.5"),
+            ("sweep", "sweep.steps", "[2.5,3]"),
+            ("sweep", "split.pred_start", "36.5"),
+        ],
+    )
+    def test_non_integral_integer_key_is_config_error(
+        self, tmp_path, capsys, command, key, value
+    ):
+        """A fractional value for an integer key is neither truncated nor a traceback."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        assert run_cli(command, base_overrides(tmp_path, **{key: value})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert key.split(".")[1] in err
+        assert "Traceback" not in err
+
     def test_horizon_mismatch_is_config_error(self, tmp_path, capsys):
         ov = base_overrides(tmp_path, **{"lma.horizon": "4"})
         assert run_cli("generate", ov) == 1

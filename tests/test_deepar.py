@@ -105,19 +105,34 @@ class TestCellMath:
         layer = LayerParams(
             np.zeros((4, 1)), np.zeros((4, 1)), np.array([0.0, 20.0, 0.0, 0.0])
         )
-        h, c = lstm_cell(np.array([0.0]), (np.array([0.0]), np.array([1.0])), layer)
+        h, c, _ = lstm_cell(np.array([0.0]), (np.array([0.0]), np.array([1.0])), layer)
         np.testing.assert_allclose(c, [1.0], atol=1e-8)
         np.testing.assert_allclose(h, [0.5 * math.tanh(c[0])], rtol=1e-12)
         assert abs(h[0] - 0.380797) < 1e-6
+
+    def test_cell_rows_are_independent(self):
+        """A batch of rows gives each row what it gets alone, gates included."""
+        rng = np.random.default_rng(71)
+        layer = make_params(3, 5, 1, seed=4).layers[0]
+        x = rng.normal(size=(6, 3))
+        h_prev, c_prev = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+        h, c, gates = lstm_cell(x, (h_prev, c_prev), layer)
+        assert h.shape == c.shape == (6, 5) and len(gates) == 5
+        for r in range(6):
+            h_r, c_r, gates_r = lstm_cell(x[r], (h_prev[r], c_prev[r]), layer)
+            np.testing.assert_allclose(h[r], h_r, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(c[r], c_r, rtol=1e-12, atol=1e-15)
+            for g, g_r in zip(gates, gates_r):
+                np.testing.assert_allclose(g[r], g_r, rtol=1e-12, atol=1e-15)
 
     def test_zero_weights_give_constant_head(self):
         """An all-zero network is input-blind: mu 0, sigma softplus(0) + floor everywhere."""
         params = make_params(1, 3, 2, seed=1)
         zeros = params.zeros_like()
-        thetas, _ = forward_window(np.array([5.0, 0.0, 123.0]), None, zeros, 2.0, 1e-6)
-        for theta in thetas:
-            assert theta.mu == 0.0
-            np.testing.assert_allclose(theta.sigma, math.log(2.0) + 1e-6, rtol=1e-12)
+        mu, sigma, _ = forward_window(np.array([5.0, 0.0, 123.0]), None, zeros, 2.0, 1e-6)
+        assert mu.shape == sigma.shape == (3,)
+        assert np.all(mu == 0.0)
+        np.testing.assert_allclose(sigma, math.log(2.0) + 1e-6, rtol=1e-12)
 
     def test_forward_matches_python_oracle(self):
         """forward_window agrees with the plain-Python recurrence to 1e-12 relative."""
@@ -131,16 +146,16 @@ class TestCellMath:
             z_lags = rng.uniform(0.0, 50.0, length)
             x = rng.normal(0.0, 1.0, (length, k)) if k else None
             scale = float(rng.uniform(0.5, 20.0))
-            thetas, state = forward_window(z_lags, x, params, scale, 1e-6)
+            mu, sigma, (h, c) = forward_window(z_lags, x, params, scale, 1e-6)
             inputs = [
                 [z_lags[t] / scale] + ([float(v) for v in x[t]] if k else [])
                 for t in range(length)
             ]
             expected = oracle_forward(inputs, params, 1e-6)
-            for theta, (mu, sigma) in zip(thetas, expected):
-                np.testing.assert_allclose(theta.mu, mu, rtol=1e-12, atol=1e-14)
-                np.testing.assert_allclose(theta.sigma, sigma, rtol=1e-12)
-            assert state.h.shape == (layers, hidden)
+            for t, (mu_ref, sigma_ref) in enumerate(expected):
+                np.testing.assert_allclose(mu[t], mu_ref, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(sigma[t], sigma_ref, rtol=1e-12)
+            assert h.shape == c.shape == (layers, hidden)
 
     def test_series_scale(self):
         """scale = 1 + mean of the conditioning range."""
@@ -155,20 +170,25 @@ class TestCellMath:
 
     def test_gaussian_nll_pinned(self):
         """At the mode with unit sigma the NLL is 0.5*log(2*pi); off-mode adds the squared residual."""
-        from cellcast.deepar.network import LikelihoodParams
-
-        theta = LikelihoodParams(mu=2.0, sigma=1.0)
-        nll = gaussian_nll(2.0 * 7.0, theta, 7.0)
+        nll = gaussian_nll(2.0 * 7.0, 2.0, 1.0, 7.0)
         np.testing.assert_allclose(nll, 0.5 * math.log(2.0 * math.pi), rtol=1e-12)
         assert abs(nll - 0.9189385) < 1e-7
-        off = gaussian_nll(3.0, LikelihoodParams(0.0, 2.0), 1.0)
+        off = gaussian_nll(3.0, 0.0, 2.0, 1.0)
         np.testing.assert_allclose(
             off, 0.5 * math.log(2.0 * math.pi * 4.0) + 9.0 / 8.0, rtol=1e-12
         )
+        both = gaussian_nll(np.array([14.0, 7.0]), np.array([2.0, 0.0]), np.array([1.0, 2.0]), 7.0)
+        np.testing.assert_allclose(
+            both, [nll, 0.5 * math.log(2.0 * math.pi * 4.0) + 1.0 / 8.0], rtol=1e-12
+        )
         with pytest.raises(ValueError):
-            gaussian_nll(math.inf, theta, 1.0)
+            gaussian_nll(math.inf, 2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            gaussian_nll(1.0, theta, 0.0)
+            gaussian_nll(1.0, 2.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            gaussian_nll(1.0, 2.0, 0.0, 1.0)  # sigma must be positive
+        with pytest.raises(ValueError):
+            gaussian_nll(1.0, math.nan, 1.0, 1.0)  # parameters must be finite
 
     def test_forward_window_validation(self):
         """Shape and finiteness violations are rejected."""
@@ -206,12 +226,10 @@ class TestGradients:
             loss, _ = batch_loss_and_grad(z, x, scales, params)
             ref = []
             for i in range(b):
-                thetas, _ = forward_window(
+                mu, sigma, _ = forward_window(
                     z[i, :-1], x[i] if k else None, params, scales[i]
                 )
-                ref.extend(
-                    gaussian_nll(z[i, t + 1], thetas[t], scales[i]) for t in range(t_len)
-                )
+                ref.extend(gaussian_nll(z[i, 1:], mu, sigma, scales[i]))
             np.testing.assert_allclose(loss, np.mean(ref), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -445,6 +463,16 @@ class TestForecasting:
         small = sample_forecast(model, cond, n_samples=5, seed=7)
         big = sample_forecast(model, cond, n_samples=9, seed=7)
         np.testing.assert_array_equal(big.samples[:5], small.samples)
+        # the default network size, where a BLAS kernel's rounding of a row
+        # can depend on how many rows the product has
+        k = 2
+        model = tiny_model(n_channels=k, hidden=40, layers=2, context=62, horizon=31, seed=5)
+        cond = self.conditioning(rng, m=70)
+        cov = rng.normal(0.0, 1.0, (k, 70 + 31))
+        big = sample_forecast(model, cond, cov, n_samples=100, seed=(7, 3))
+        for n in (1, 2, 7, 8, 9, 17):
+            small = sample_forecast(model, cond, cov, n_samples=n, seed=(7, 3))
+            np.testing.assert_array_equal(big.samples[:n], small.samples)
 
     def test_int_seed_equals_singleton_tuple(self):
         """An integer seed is shorthand for the one-element tuple."""
@@ -477,27 +505,36 @@ class TestForecasting:
         np.testing.assert_array_equal(short.samples, full.samples[:, :2])
 
     def test_encoder_and_decoder_share_parameters(self, monkeypatch):
-        """The conditioning pass and the sampling loop run on the same parameter object."""
+        """The conditioning pass and the sampling loop run the same cell on the
+        same parameter objects."""
         import cellcast.deepar.forecasting as fc
+        import cellcast.deepar.network as net
 
-        seen = []
-        real_fw, real_step = fc.forward_window, fc._step
+        fw_params = []
+        cell_layers = {"encoder": set(), "decoder": set()}
+        in_encoder = []
+        real_fw, real_cell = fc.forward_window, net.lstm_cell
 
         def spy_fw(z_lags, x_window, params, scale, sigma_floor):
-            seen.append(("encoder", id(params)))
-            return real_fw(z_lags, x_window, params, scale, sigma_floor)
+            fw_params.append(id(params))
+            in_encoder.append(True)
+            try:
+                return real_fw(z_lags, x_window, params, scale, sigma_floor)
+            finally:
+                in_encoder.pop()
 
-        def spy_step(x, state, params):
-            seen.append(("decoder", id(params)))
-            return real_step(x, state, params)
+        def spy_cell(x, state, layer):
+            cell_layers["encoder" if in_encoder else "decoder"].add(id(layer))
+            return real_cell(x, state, layer)
 
         monkeypatch.setattr(fc, "forward_window", spy_fw)
-        monkeypatch.setattr(fc, "_step", spy_step)
-        model = tiny_model()
+        monkeypatch.setattr(net, "lstm_cell", spy_cell)
+        model = tiny_model(layers=2)
         rng = np.random.default_rng(8)
         sample_forecast(model, self.conditioning(rng), n_samples=2, seed=1)
-        assert {pid for _, pid in seen} == {id(model.params)}
-        assert {kind for kind, _ in seen} == {"encoder", "decoder"}
+        layer_ids = {id(layer) for layer in model.params.layers}
+        assert fw_params == [id(model.params)]
+        assert cell_layers["encoder"] == cell_layers["decoder"] == layer_ids
 
     def test_near_deterministic_head_tracks_greedy_replay(self):
         """With the spread squashed to the floor, every sampled path follows the
@@ -522,8 +559,8 @@ class TestForecasting:
         for t in range(4):
             lags = np.array(lag_data + [cond[-1]] + [mu * scale for mu in expected[:t]])
             x_rows = cov[:, m - ctx : m + t + 1].T
-            thetas, _ = forward_window(lags, x_rows, model.params, scale)
-            expected.append(thetas[-1].mu)
+            mu, _, _ = forward_window(lags, x_rows, model.params, scale)
+            expected.append(mu[-1])
         expected = np.maximum(np.array(expected) * scale, 0.0)
         for row in f.samples:
             np.testing.assert_allclose(row, expected, atol=1e-3 * scale)
@@ -660,3 +697,27 @@ class TestModelStore:
         open(garbage, "wb").write(blob[:30])
         with pytest.raises(ModelStoreError):
             load_model(garbage)
+
+    def test_rejects_lengths_past_the_end_of_the_file(self, tmp_path):
+        """A length field or an array shape that claims more bytes than the file
+        holds is a ModelStoreError, never an attempt to allocate them."""
+        import json
+
+        _, path, _ = self.trained(tmp_path)
+        blob = open(path, "rb").read()
+
+        huge_header = str(tmp_path / "header.bin")
+        open(huge_header, "wb").write(blob[:24] + struct.pack("<Q", 2**62) + blob[32:])
+        with pytest.raises(ModelStoreError, match="truncated"):
+            load_model(huge_header)
+
+        (header_len,) = struct.unpack("<Q", blob[24:32])
+        header = json.loads(blob[32 : 32 + header_len])
+        header["arrays"][0]["shape"] = [2**31, 2**31]
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        huge_shape = str(tmp_path / "shape.bin")
+        open(huge_shape, "wb").write(
+            blob[:24] + struct.pack("<Q", len(text)) + text + blob[32 + header_len :]
+        )
+        with pytest.raises(ModelStoreError, match="truncated"):
+            load_model(huge_shape)

@@ -28,7 +28,7 @@ from cellcast import (
     write_report_csvs,
     write_svg_plots,
 )
-from cellcast.evalharness import THREADS_ENV_VAR, provenance_payload, thread_count, write_provenance
+from cellcast.evalharness import provenance_payload, write_provenance
 
 
 def oracle_rmsle_rows(actual, predicted):
@@ -117,22 +117,6 @@ class TestMetrics:
             stability_std(np.array([]))
         with pytest.raises(EvalError):
             stability_std(np.array([1.0, np.inf]))
-
-
-class TestThreadCount:
-    def test_default_and_overrides(self, monkeypatch):
-        """Unset means 1 worker; positive integers pass through; floors at 1."""
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        assert thread_count() == 4
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
-        assert thread_count() == 1
-        monkeypatch.setenv(THREADS_ENV_VAR, "-3")
-        assert thread_count() == 1
-        monkeypatch.setenv(THREADS_ENV_VAR, "two")
-        with pytest.raises(EvalError):
-            thread_count()
 
 
 def weekly_panel(n_series=6, n_steps=40, seed=201):
@@ -321,16 +305,6 @@ class TestTrainedModelForecaster:
         np.testing.assert_array_equal(a, b)
         c = fc.forecast_panel(train_panel, 5, (4,))
         assert not np.array_equal(a, c)
-
-    def test_thread_pool_does_not_change_results(self, monkeypatch):
-        """Per-series substreams make the pooled run bit-identical to the serial one."""
-        model, train_panel = self.make_model()
-        fc = TrainedModelForecaster(model, n_samples=8)
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        serial = fc.forecast_panel(train_panel, 5, (2,))
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        pooled = fc.forecast_panel(train_panel, 5, (2,))
-        np.testing.assert_array_equal(serial, pooled)
 
     def test_statistic_mean_differs_from_median(self):
         model, train_panel = self.make_model()
