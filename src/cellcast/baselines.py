@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_field_types
+
 __all__ = ["BaselineError", "HoltWintersConfig", "holt_winters", "seasonal_naive"]
 
 
@@ -52,10 +54,11 @@ class HoltWintersConfig:
     gamma: float = 0.1
 
     def validate(self) -> None:
+        check_field_types(self, BaselineError)
         if self.season < 1:
             raise BaselineError(f"season must be >= 1, got {self.season}")
         for name in ("alpha", "beta", "gamma"):
-            v = float(getattr(self, name))
+            v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise BaselineError(f"{name} must lie in [0, 1], got {v}")
 

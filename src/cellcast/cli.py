@@ -98,11 +98,9 @@ def _write_sidecar(artifact_path: str, command: str, cfg: RunConfig) -> None:
 
 def _train_inputs(cfg: RunConfig, with_lma: bool):
     panel = load_panel(cfg.path("panel"))
-    split = cfg.split_spec()
-    split.check_against(panel.n_steps)
-    train_panel, _ = split_panel(panel, split)
-    train_cfg = cfg.train_config()
-    lma_cfg = cfg.lma_config() if with_lma else None
+    train_panel, _ = split_panel(panel, cfg.section("split"))
+    train_cfg = cfg.section("train")
+    lma_cfg = cfg.section("lma") if with_lma else None
     covariates = assemble_covariates(
         train_panel, lma_cfg, train_cfg.horizon, day_of_week=train_cfg.day_of_week
     )
@@ -110,7 +108,7 @@ def _train_inputs(cfg: RunConfig, with_lma: bool):
 
 
 def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    panel = generate_panel(cfg.synth_config())
+    panel = generate_panel(cfg.section("synth"))
     out = cfg.path("panel")
     write_panel(panel, out)
     _write_sidecar(out, "generate", cfg)
@@ -150,8 +148,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = load_model(cfg.path("model"))
     panel = load_panel(cfg.path("panel"))
-    split = cfg.split_spec()
-    split.check_against(panel.n_steps)
+    split = cfg.section("split")
     train_panel, _ = split_panel(panel, split)
     horizon = split.horizon
     if horizon > model.train_config.horizon:
@@ -164,9 +161,8 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> int:
         model.train_config.horizon,
         day_of_week=model.train_config.day_of_week,
     )
-    n_samples = cfg.sweep_n_samples()
-    statistic = cfg.sweep_statistic()
-    seed = cfg.sweep_seed()
+    sweep_cfg = cfg.section("sweep")
+    n_samples = sweep_cfg.n_samples
     samples_path = cfg.path("forecast_samples")
     point_path = cfg.path("forecast_point")
     with open(samples_path, "w", newline="") as fh_s, open(point_path, "w", newline="") as fh_p:
@@ -182,12 +178,12 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> int:
                 channels,
                 horizon=horizon,
                 n_samples=n_samples,
-                seed=(seed, i),
+                seed=(sweep_cfg.seed, i),
             )
             for t in range(horizon):
                 for s in range(n_samples):
                     w_samples.writerow([sid, t + 1, s, repr(float(fc.samples[s, t]))])
-            point = point_forecast(fc, statistic)
+            point = point_forecast(fc, sweep_cfg.statistic)
             for t in range(horizon):
                 w_point.writerow([sid, t + 1, repr(float(point[t]))])
     _write_sidecar(samples_path, "forecast", cfg)
@@ -237,8 +233,7 @@ def _load_point_forecast(path: str, series_ids: tuple[str, ...]) -> np.ndarray:
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = load_panel(cfg.path("panel"))
-    split = cfg.split_spec()
-    split.check_against(panel.n_steps)
+    split = cfg.section("split")
     _, test_panel = split_panel(panel, split)
     pred = _load_point_forecast(cfg.path("forecast_point"), panel.series_ids)
     horizon = pred.shape[1]
@@ -278,32 +273,24 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = load_panel(cfg.path("panel"))
-    split = cfg.split_spec()
-    split.check_against(panel.n_steps)
+    split = cfg.section("split")
     train_panel, _ = split_panel(panel, split)
-    train_cfg = cfg.train_config()
-    n_samples = cfg.sweep_n_samples()
-    statistic = cfg.sweep_statistic()
+    train_cfg = cfg.section("train")
+    sweep_cfg = cfg.section("sweep")
     models = {}
-    for name in cfg.sweep_models():
-        if name == "lma_deepar":
-            lma_cfg = cfg.lma_config()
+    for name in sweep_cfg.models:
+        if name in ("lma_deepar", "deepar"):
+            lma_cfg = cfg.section("lma") if name == "lma_deepar" else None
             covariates = assemble_covariates(
                 train_panel, lma_cfg, train_cfg.horizon, day_of_week=train_cfg.day_of_week
             )
             model = train(train_panel, covariates, train_cfg, lma_cfg)
-            models[name] = TrainedModelForecaster(model, n_samples, statistic)
-        elif name == "deepar":
-            covariates = assemble_covariates(
-                train_panel, None, train_cfg.horizon, day_of_week=train_cfg.day_of_week
-            )
-            model = train(train_panel, covariates, train_cfg, None)
-            models[name] = TrainedModelForecaster(model, n_samples, statistic)
+            models[name] = TrainedModelForecaster(model, sweep_cfg.n_samples, sweep_cfg.statistic)
         elif name == "seasonal_naive":
-            models[name] = SeasonalNaiveForecaster(cfg.naive_season())
+            models[name] = SeasonalNaiveForecaster(sweep_cfg.naive_season)
         else:
-            models[name] = HoltWintersForecaster(cfg.holt_winters_config())
-    report = sweep(models, panel, split, cfg.sweep_steps(), cfg.sweep_seed())
+            models[name] = HoltWintersForecaster(cfg.section("holt_winters"))
+    report = sweep(models, panel, split, sweep_cfg.steps, sweep_cfg.seed)
     pooled_path = cfg.path("report_pooled")
     stability_path = cfg.path("report_stability")
     write_report_csvs(report, pooled_path, stability_path)

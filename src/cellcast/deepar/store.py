@@ -25,6 +25,7 @@ import struct
 
 import numpy as np
 
+from .._fields import from_json, to_json
 from ..lma import LmaConfig
 from .params import LayerParams, NetworkParams
 from .training import MODEL_FORMAT_VERSION, TrainConfig, TrainedModel
@@ -51,15 +52,13 @@ def _array_manifest(params: NetworkParams) -> list[tuple[str, np.ndarray]]:
 
 def save_model(model: TrainedModel, path: str) -> None:
     entries = _array_manifest(model.params)
+    lma = model.lma_config
     header = {
-        "train_config": vars(model.train_config),
-        "lma_config": vars(model.lma_config) if model.lma_config is not None else None,
+        "train_config": to_json(model.train_config),
+        "lma_config": to_json(lma) if lma is not None else None,
         "epoch_nll": list(model.epoch_nll),
         "arrays": [{"name": name, "shape": list(a.shape)} for name, a in entries],
     }
-    if header["lma_config"] is not None:
-        header["lma_config"] = dict(header["lma_config"])
-        header["lma_config"]["features"] = list(model.lma_config.features)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -101,13 +100,12 @@ def load_model(path: str) -> TrainedModel:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelStoreError(f"{path}: corrupt header: {exc}") from exc
         try:
-            train_config = TrainConfig(**header["train_config"])
-            lma_raw = header["lma_config"]
+            train_config = from_json(TrainConfig, header["train_config"])
+            train_config.validate()
             lma_config = None
-            if lma_raw is not None:
-                lma_raw = dict(lma_raw)
-                lma_raw["features"] = tuple(lma_raw["features"])
-                lma_config = LmaConfig(**lma_raw)
+            if header["lma_config"] is not None:
+                lma_config = from_json(LmaConfig, header["lma_config"])
+                lma_config.validate()
             epoch_nll = tuple(float(v) for v in header["epoch_nll"])
             manifest = [(e["name"], tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
             if any(d < 0 for _, shape in manifest for d in shape):

@@ -22,10 +22,11 @@ above the residuals it should match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .._fields import check_field_types
 from .._rng import substream
 from ..lma import CovariatePanel, LmaConfig
 from ..panel import SeriesPanel
@@ -72,12 +73,7 @@ class TrainConfig:
     day_of_week: bool = False
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            ):
-                raise TrainError(f"{f.name} must be an integer, got {value!r}")
+        check_field_types(self, TrainError)
         if self.horizon < 1 or self.context_length < self.horizon:
             raise TrainError(
                 f"need context_length >= horizon >= 1, got {self.context_length}, {self.horizon}"

@@ -23,6 +23,7 @@ from typing import Protocol
 
 import numpy as np
 
+from ._fields import to_json
 from .baselines import HoltWintersConfig, holt_winters, seasonal_naive
 from .deepar import TrainedModel, point_forecast, sample_forecast
 from .lma import assemble_covariates
@@ -150,16 +151,12 @@ class TrainedModelForecaster:
 
     def describe(self) -> dict:
         lma = self.model.lma_config
-        lma_desc = None
-        if lma is not None:
-            lma_desc = dict(vars(lma))
-            lma_desc["features"] = list(lma.features)
         return {
             "kind": "deepar",
             "n_samples": self.n_samples,
             "statistic": self.statistic,
-            "train_config": dict(vars(self.model.train_config)),
-            "lma_config": lma_desc,
+            "train_config": to_json(self.model.train_config),
+            "lma_config": to_json(lma) if lma is not None else None,
             "format_version": self.model.format_version,
             "epoch_nll": list(self.model.epoch_nll),
         }
@@ -196,7 +193,7 @@ class HoltWintersForecaster:
         return out
 
     def describe(self) -> dict:
-        return {"kind": "holt_winters", **vars(self.config)}
+        return {"kind": "holt_winters", **to_json(self.config)}
 
 
 @dataclass(frozen=True)

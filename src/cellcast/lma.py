@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_field_types
 from .panel import SeriesPanel
 
 __all__ = [
@@ -62,6 +63,7 @@ class LmaConfig:
     standardize: bool = True
 
     def validate(self) -> None:
+        check_field_types(self, LmaError)
         if not (self.window_len >= self.horizon >= 1):
             raise LmaError(
                 f"need window_len >= horizon >= 1, got window_len={self.window_len}, "

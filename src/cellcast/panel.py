@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_field_types
+
 __all__ = ["PanelError", "SeriesPanel", "SplitSpec", "load_panel", "write_panel", "split_panel"]
 
 _HEADER = ["series_id", "date", "value"]
@@ -114,6 +116,10 @@ class SplitSpec:
     pred_end: int
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        check_field_types(self, PanelError)
         if self.pred_start <= 1:
             raise PanelError("pred_start must be > 1 (at least one conditioning step required)")
         if self.pred_end < self.pred_start:

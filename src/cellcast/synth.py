@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_field_types
 from ._rng import substream
 from .panel import PanelError, SeriesPanel
 
@@ -55,6 +56,7 @@ class SynthConfig:
     start_date: dt.date = dt.date(2021, 1, 1)
 
     def validate(self) -> None:
+        check_field_types(self, SynthConfigError)
         if self.n_series < 1:
             raise SynthConfigError(f"n_series must be >= 1, got {self.n_series}")
         if self.n_total < 2:

@@ -5,6 +5,7 @@ temporary directory, then inspects files and exit codes.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 from cellcast import TrainConfig, load_model, load_panel
 from cellcast.cli import run_command
-from cellcast.config import DEFAULT_CONFIG
+from cellcast._fields import from_json, to_json
+from cellcast.config import DEFAULT_CONFIG, SECTIONS
 
 
 def base_overrides(tmp_path, **extra):
@@ -53,6 +55,21 @@ class TestDefaults:
     def test_train_section_matches_train_config(self):
         """The CLI and the sweep train from DEFAULT_CONFIG, not from the dataclass."""
         assert DEFAULT_CONFIG["train"] == dataclasses.asdict(TrainConfig())
+
+    def test_default_config_json_is_pinned(self):
+        """Every provenance sidecar embeds the resolved config and its hash, so the
+        JSON form of the defaults must not drift by accident."""
+        canonical = json.dumps(DEFAULT_CONFIG, sort_keys=True, separators=(",", ":"))
+        assert (
+            hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            == "3c637e96d61d371043f53221d1e68203e0aa261909b1ad115966a65b489bc51e"
+        )
+
+    @pytest.mark.parametrize("name", sorted(SECTIONS))
+    def test_sections_round_trip_through_json(self, name):
+        cls = SECTIONS[name]
+        assert DEFAULT_CONFIG[name] == to_json(cls())
+        assert from_json(cls, json.loads(json.dumps(DEFAULT_CONFIG[name]))) == cls()
 
 
 class TestGenerate:
@@ -227,6 +244,12 @@ class TestErrors:
             ("sweep", "sweep.naive_season", "7.5"),
             ("sweep", "sweep.steps", "[2.5,3]"),
             ("sweep", "split.pred_start", "36.5"),
+            ("generate", "synth.n_series", "2.5"),
+            ("generate", "synth.n_total", "100.5"),
+            ("generate", "synth.seed", "1.5"),
+            ("generate", "synth.period", "7.5"),
+            ("generate", "holt_winters.season", "7.5"),
+            ("generate", "lma.window_len", "62.5"),
         ],
     )
     def test_non_integral_integer_key_is_config_error(
@@ -239,6 +262,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert key.split(".")[1] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("covariates", "train.day_of_week", "False"),
+            ("covariates", "lma.standardize", "False"),
+            ("generate", "synth.n_series", "true"),
+            ("train", "train.learning_rate", '"0.1"'),
+            ("covariates", "lma.features", '"mean"'),
+        ],
+    )
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, command, key, value):
+        """A value of the wrong JSON type is one error line naming its key: the
+        string "False" is not a boolean and true is not an integer."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        assert run_cli(command, base_overrides(tmp_path, **{key: value})) == 1
+        err = capsys.readouterr().err
+        section, field = key.split(".")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert section in err and field in err
         assert "Traceback" not in err
 
     def test_horizon_mismatch_is_config_error(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ The reference computations here are deliberately written in plain Python with
 the math module so they share no code with the implementation.
 """
 
+import json
 import math
 import struct
 
@@ -697,6 +698,26 @@ class TestModelStore:
         open(garbage, "wb").write(blob[:30])
         with pytest.raises(ModelStoreError):
             load_model(garbage)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("train_config", "horizon", "3"), ("lma_config", "standardize", "true")],
+    )
+    def test_rejects_header_field_of_wrong_type(self, tmp_path, section, key, value):
+        """A header config value of the wrong type is a corrupt file, not a
+        TypeError later in forecasting."""
+        _, path, _ = self.trained(tmp_path, with_lma=True)
+        blob = open(path, "rb").read()
+        (header_len,) = struct.unpack("<Q", blob[24:32])
+        header = json.loads(blob[32 : 32 + header_len])
+        header[section][key] = value
+        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        bad = str(tmp_path / "typed.bin")
+        with open(bad, "wb") as fh:
+            fh.write(blob[:24] + struct.pack("<Q", len(new_header)) + new_header)
+            fh.write(blob[32 + header_len :])
+        with pytest.raises(ModelStoreError, match=key):
+            load_model(bad)
 
     def test_rejects_lengths_past_the_end_of_the_file(self, tmp_path):
         """A length field or an array shape that claims more bytes than the file
