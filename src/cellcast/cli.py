@@ -277,6 +277,11 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     train_panel, _ = split_panel(panel, split)
     train_cfg = cfg.section("train")
     sweep_cfg = cfg.section("sweep")
+    if sweep_cfg.steps[-1] > split.horizon:
+        # checked again by evalharness.sweep, but only after training
+        raise ConfigError(
+            f"sweep.steps: step {sweep_cfg.steps[-1]} exceeds the {split.horizon}-day test range"
+        )
     models = {}
     for name in sweep_cfg.models:
         if name in ("lma_deepar", "deepar"):

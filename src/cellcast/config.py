@@ -56,6 +56,9 @@ class SweepConfig:
         check_field_types(self, ConfigError)
         if not self.steps:
             raise ConfigError("steps must be a nonempty list of integers")
+        steps = self.steps
+        if steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
+            raise ConfigError(f"steps must be strictly increasing and >= 1, got {steps}")
         if not self.models:
             raise ConfigError("models must be a nonempty list of model names")
         for name in self.models:

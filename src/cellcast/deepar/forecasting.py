@@ -3,11 +3,11 @@
 The conditioning pass and the sampling pass run the same network with the
 same parameter object.  A forecast first replays the last context_length
 conditioning steps from the all-zero state, then advances the trajectories
-together in blocks of BLOCK_ROWS, each step drawing from the step's Gaussian
-and feeding the raw draw back as the next lag.  Each trajectory owns an
-independent seed sub-stream, so the sample matrix does not depend on
-computation order or on how many trajectories the caller asked for (a larger
-request extends the matrix row-wise).
+in blocks of BLOCK_ROWS, all blocks in one call per step, each step drawing
+from the step's Gaussian and feeding the raw draw back as the next lag.
+Each trajectory owns an independent seed sub-stream, so the sample matrix
+does not depend on computation order or on how many trajectories the caller
+asked for (a larger request extends the matrix row-wise).
 """
 
 from __future__ import annotations
@@ -152,19 +152,23 @@ def sample_forecast(
     eps = np.zeros((n_blocks * BLOCK_ROWS, horizon))
     for s in range(n_samples):
         eps[s] = substream(*seed_ids, s).standard_normal(horizon)
+    eps = eps.reshape(n_blocks, BLOCK_ROWS, horizon)
     samples = np.empty_like(eps)
-    x = np.empty((BLOCK_ROWS, 1 + n_channels))
-    for rows in range(0, eps.shape[0], BLOCK_ROWS):
-        block = slice(rows, rows + BLOCK_ROWS)
-        h = np.repeat(enc_h[:, None, :], BLOCK_ROWS, axis=1)
-        c = np.repeat(enc_c[:, None, :], BLOCK_ROWS, axis=1)
-        x[:, 0] = conditioning[-1] / scale
-        for t in range(horizon):
-            if n_channels:
-                x[:, 1:] = covariates[:, m + t]
-            mu, sigma = advance(x, h, c, model.params, cfg.sigma_floor)
-            samples[block, t] = x[:, 0] = mu + sigma * eps[block, t]
-    rescaled = np.maximum(samples[:n_samples] * scale, 0.0)
+    # Every block advances in the same call, but stays its own (8, D) slice
+    # of the stacked matrix product, so each row sees the gemm it would see
+    # alone.  Flattening the blocks into one (n_blocks*8, D) matrix would
+    # change how the products round.
+    state_shape = (model.params.num_layers, n_blocks, BLOCK_ROWS, model.params.hidden_size)
+    h = np.broadcast_to(enc_h[:, None, None, :], state_shape).copy()
+    c = np.broadcast_to(enc_c[:, None, None, :], state_shape).copy()
+    x = np.empty((n_blocks, BLOCK_ROWS, 1 + n_channels))
+    x[..., 0] = conditioning[-1] / scale
+    for t in range(horizon):
+        if n_channels:
+            x[..., 1:] = covariates[:, m + t]
+        mu, sigma = advance(x, h, c, model.params, cfg.sigma_floor)
+        samples[..., t] = x[..., 0] = mu + sigma * eps[..., t]
+    rescaled = np.maximum(samples.reshape(-1, horizon)[:n_samples] * scale, 0.0)
     return Forecast(rescaled, scale, seed_ids)
 
 

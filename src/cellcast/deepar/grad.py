@@ -118,7 +118,9 @@ def batch_loss_and_grad(
     z_windows is (B, T+1): a seed lag followed by T observed targets per
     window, in data units.  x_windows is (B, T, K) covariate rows aligned
     with the targets, or None for a covariate-free model.  scales holds the
-    per-window scale applied to both lags and targets.
+    per-window scale applied to both lags and targets.  A non-finite loss
+    or gradient raises ValueError (the gradient through the NetworkParams
+    checks), which is how a diverging run shows.
     """
     z_windows = np.asarray(z_windows, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
@@ -159,6 +161,8 @@ def batch_loss_and_grad(
         2.0 * sigma * sigma
     )
     loss = float(np.mean(nll))
+    if not math.isfinite(loss):
+        raise ValueError(f"non-finite batch loss {loss}")
     inv_count = 1.0 / (n_batch * length)
     d_mu = (mu - targets) / (sigma * sigma) * inv_count
     d_sigma = (1.0 / sigma - resid * resid / sigma**3) * inv_count

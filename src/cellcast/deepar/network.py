@@ -30,14 +30,15 @@ DEFAULT_SIGMA_FLOOR = 1e-6
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function, without masks.
+
+    With e = exp(-|x|) this is 1/(1+e) for x >= 0 and e/(1+e) below zero:
+    per element the same exp, add and divide as the two-branch form, so the
+    result is bit-identical to it, and exp never sees a positive argument.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -51,17 +52,20 @@ def lstm_cell(
     """One gated update of a single layer for rows x (..., input_size).
 
     Gate pre-activations are stacked in ``layer`` as four blocks of
-    hidden_size rows in the order input, forget, candidate, output.  Returns
-    the new hidden and cell rows plus the activations (input, forget,
-    candidate, output gate, tanh of the cell) that backpropagation reuses.
+    hidden_size rows in the order input, forget, candidate, output.  One
+    sigmoid covers all four blocks (the candidate's share is discarded), so
+    each step makes one elementwise pass instead of three.  Returns the new
+    hidden and cell rows plus the activations (input, forget, candidate,
+    output gate, tanh of the cell) that backpropagation reuses.
     """
     hs = layer.hidden_size
     h_prev, c_prev = state
     a = x @ layer.wx.T + h_prev @ layer.wh.T + layer.b
-    gi = sigmoid(a[..., :hs])
-    gf = sigmoid(a[..., hs : 2 * hs])
+    s = sigmoid(a)
+    gi = s[..., :hs]
+    gf = s[..., hs : 2 * hs]
     gg = np.tanh(a[..., 2 * hs : 3 * hs])
-    go = sigmoid(a[..., 3 * hs :])
+    go = s[..., 3 * hs :]
     c = gf * c_prev + gi * gg
     tc = np.tanh(c)
     h = go * tc
@@ -71,16 +75,16 @@ def lstm_cell(
 def advance(
     x: np.ndarray, h: np.ndarray, c: np.ndarray, params: NetworkParams, sigma_floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the stacked recurrence and the head for rows x (B, input_size).
+    """One step of the stacked recurrence and the head for rows x (..., input_size).
 
-    h and c are (layers, B, hidden) and are updated in place.  Returns the
-    location and spread of each row, both (B,).
+    h and c are (layers, ..., hidden) and are updated in place.  Returns the
+    location and spread of each row, both shaped like x without its last axis.
     """
     for idx, layer in enumerate(params.layers):
         h[idx], c[idx], _ = lstm_cell(x, (h[idx], c[idx]), layer)
         x = h[idx]
     raw = x @ params.head_w.T + params.head_b
-    return raw[:, 0], softplus(raw[:, 1]) + sigma_floor
+    return raw[..., 0], softplus(raw[..., 1]) + sigma_floor
 
 
 def series_scale(conditioning: np.ndarray) -> float:

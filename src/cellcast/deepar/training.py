@@ -191,11 +191,11 @@ def train(
     adam_v = np.zeros_like(theta)
     step = 0
     epoch_nll: list[float] = []
-    for _epoch in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         offsets = rng_offsets.integers(0, n_steps - window_len + 1, size=n_windows)
         order = rng_shuffle.permutation(n_windows)
         loss_sum = 0.0
-        for lo in range(0, n_windows, cfg.batch_size):
+        for batch_no, lo in enumerate(range(0, n_windows, cfg.batch_size), start=1):
             batch = order[lo : lo + cfg.batch_size]
             n_batch = batch.size
             z_windows = np.empty((n_batch, window_len + 1))
@@ -214,9 +214,18 @@ def train(
                 if x_windows is not None:
                     x_windows[row] = channels[sid, :, start : start + window_len].T
             par = params.from_vector(theta)
-            loss, grads = batch_loss_and_grad(
-                z_windows, x_windows, scales, par, cfg.sigma_floor
-            )
+            # The inputs are valid, so a ValueError here is a non-finite loss
+            # or gradient: the run diverged.  It is reported before the update
+            # reaches theta, so numpy's overflow warnings add nothing.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    loss, grads = batch_loss_and_grad(
+                        z_windows, x_windows, scales, par, cfg.sigma_floor
+                    )
+                except ValueError as exc:
+                    raise TrainError(
+                        f"training diverged at epoch {epoch}, batch {batch_no}: {exc}"
+                    ) from exc
             loss_sum += loss * n_batch
             g = _clip_gradient(grads.to_vector(), cfg.clip_norm)
             lr = step_size(cfg.learning_rate, step, total_steps)

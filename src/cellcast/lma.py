@@ -16,6 +16,12 @@ w, horizon p (w >= p >= 1, w <= n):
 
 so the head and horizon entries are constant runs and every window stays
 inside the observed range.
+
+``lma_window`` is the one statement of these rules.  ``lma_features`` takes
+every index's window from it, gathers the windows of each length as rows of
+one array and reduces each statistic over all rows in one call; every row is
+reduced exactly as its 1-D window alone would be, so the channels are
+bit-identical to computing ``feature_value`` index by index.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fields import check_field_types
 from .panel import SeriesPanel
@@ -82,16 +89,17 @@ class LmaConfig:
         return len(self.features)
 
 
+_REDUCERS = {"mean": np.mean, "std": np.std}
+
+
 def feature_value(window: np.ndarray, kind: str) -> float:
     """Summary statistic of a window: arithmetic mean or population std."""
     window = np.asarray(window, dtype=np.float64)
     if window.size == 0:
         raise LmaError("feature window is empty")
-    if kind == "mean":
-        return float(np.mean(window))
-    if kind == "std":
-        return float(np.std(window))
-    raise LmaError(f"unknown feature kind {kind!r}")
+    if kind not in _REDUCERS:
+        raise LmaError(f"unknown feature kind {kind!r}")
+    return float(_REDUCERS[kind](window))
 
 
 def lma_window(i: int, n: int, window_len: int, horizon: int) -> tuple[int, int]:
@@ -125,12 +133,18 @@ def lma_features(z: np.ndarray, cfg: LmaConfig) -> np.ndarray:
     n = z.size
     if cfg.window_len > n:
         raise LmaError(f"window_len {cfg.window_len} exceeds series length {n}")
+    indices = range(1, n + cfg.horizon + 1)
+    placed = [lma_window(i, n, cfg.window_len, cfg.horizon) for i in indices]
+    starts = np.array([start for start, _ in placed])
+    lengths = np.array([length for _, length in placed])
     out = np.empty((cfg.n_channels, n + cfg.horizon))
-    for i in range(1, n + cfg.horizon + 1):
-        start, length = lma_window(i, n, cfg.window_len, cfg.horizon)
-        window = z[start - 1 : start - 1 + length]
+    for length in sorted(set(lengths.tolist())):
+        at = lengths == length
+        # Fancy indexing copies the windows into contiguous rows, so each row
+        # reduces exactly as the 1-D window would.
+        rows = sliding_window_view(z, length)[starts[at] - 1]
         for k, kind in enumerate(cfg.features):
-            out[k, i - 1] = feature_value(window, kind)
+            out[k, at] = _REDUCERS[kind](rows, axis=1)
     return out
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cellcast import TrainConfig, load_model, load_panel
+from cellcast import cli
 from cellcast.cli import run_command
 from cellcast._fields import from_json, to_json
 from cellcast.config import DEFAULT_CONFIG, SECTIONS
@@ -285,6 +286,38 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert section in err and field in err
         assert "Traceback" not in err
+
+    def test_training_divergence_is_one_error_line(self, tmp_path, capsys):
+        """A diverging run exits 1 with one error line naming the epoch."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        ov = base_overrides(tmp_path, **{"train.learning_rate": "1e300", "train.epochs": "2"})
+        assert run_cli("train", ov) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at epoch ") and err.count("\n") == 1
+        assert not (tmp_path / "model.bin").exists()
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ("[5,3]", "steps must be strictly increasing and >= 1"),
+            ("[0,3]", "steps must be strictly increasing and >= 1"),
+            ("[3,6]", "step 6 exceeds the 5-day test range"),
+        ],
+    )
+    def test_bad_sweep_steps_fail_before_training(
+        self, tmp_path, capsys, monkeypatch, steps, message
+    ):
+        """Steps out of order, below 1 or past the test range are rejected
+        before any network is trained."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        assert run_cli("sweep", base_overrides(tmp_path, **{"sweep.steps": steps})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert trained == []
 
     def test_horizon_mismatch_is_config_error(self, tmp_path, capsys):
         ov = base_overrides(tmp_path, **{"lma.horizon": "4"})

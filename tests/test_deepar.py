@@ -8,6 +8,7 @@ the math module so they share no code with the implementation.
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from cellcast.deepar import (
     LayerParams,
     ModelStoreError,
     batch_loss_and_grad,
+    sigmoid,
 )
 from cellcast.deepar import training
 from cellcast.deepar.training import step_size
@@ -49,6 +51,17 @@ def py_sigmoid(v):
         return 1.0 / (1.0 + math.exp(-v))
     e = math.exp(v)
     return e / (1.0 + e)
+
+
+def masked_sigmoid(x):
+    """The two-branch masked logistic the cell used before its mask-free form."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def oracle_forward(inputs, params, sigma_floor):
@@ -125,6 +138,22 @@ class TestCellMath:
             np.testing.assert_allclose(c[r], c_r, rtol=1e-12, atol=1e-15)
             for g, g_r in zip(gates, gates_r):
                 np.testing.assert_allclose(g[r], g_r, rtol=1e-12, atol=1e-15)
+
+    def test_sigmoid_is_bit_identical_to_masked_form(self):
+        """The mask-free sigmoid gives the masked form's bytes: at the edges, on
+        the cell's block shapes and on the gate slices the cell takes."""
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 750.0, -750.0])
+        assert sigmoid(edges).tobytes() == masked_sigmoid(edges).tobytes()
+        rng = np.random.default_rng(29)
+        for shape in [(1, 40), (8, 160), (32, 160)]:
+            a = rng.normal(0.0, 8.0, size=shape)
+            assert sigmoid(a).tobytes() == masked_sigmoid(a).tobytes()
+        a = rng.normal(0.0, 8.0, size=(8, 160))
+        whole = sigmoid(a)
+        for gate in (slice(0, 40), slice(40, 80), slice(120, 160)):
+            expected = masked_sigmoid(a[:, gate]).tobytes()
+            assert sigmoid(a[:, gate]).tobytes() == expected
+            assert np.ascontiguousarray(whole[:, gate]).tobytes() == expected
 
     def test_zero_weights_give_constant_head(self):
         """An all-zero network is input-blind: mu 0, sigma softplus(0) + floor everywhere."""
@@ -395,6 +424,30 @@ class TestTraining:
         plateau = float(np.mean(0.5 * np.log(2.0 * math.pi * scaled_var) + 0.5))
         assert model.epoch_nll[-1] < plateau - 0.5
 
+    def test_divergence_is_a_train_error(self):
+        """A step size that blows the fit up ends as a TrainError naming where,
+        raised before the update, with no numpy warnings on the way."""
+        cfg = self.small_cfg(learning_rate=1e300, epochs=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainError, match=r"diverged at epoch 1, batch 2: non-finite"):
+                train(sinusoid_panel(), None, cfg)
+
+    def test_divergence_names_the_epoch_and_batch(self, monkeypatch):
+        """Epoch and batch are 1-based and count across the run's epochs."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            if len(calls) == 6:
+                raise ValueError("non-finite gradient")
+            return batch_loss_and_grad(*args)
+
+        monkeypatch.setattr(training, "batch_loss_and_grad", spy)
+        # 8 series x 8 windows in batches of 16: 4 updates per epoch
+        with pytest.raises(TrainError, match=r"at epoch 2, batch 2: non-finite gradient"):
+            train(sinusoid_panel(), None, self.small_cfg(epochs=2))
+
     def test_rejects_short_panel(self):
         """Series shorter than one training window are rejected."""
         panel = sinusoid_panel(n_steps=9)
@@ -474,6 +527,20 @@ class TestForecasting:
         for n in (1, 2, 7, 8, 9, 17):
             small = sample_forecast(model, cond, cov, n_samples=n, seed=(7, 3))
             np.testing.assert_array_equal(big.samples[:n], small.samples)
+
+    def test_stacked_blocks_keep_each_blocks_rounding(self):
+        """Hundreds of blocks advance in one call, yet every block rounds as it
+        would alone.  Flattening them into one (rows, D) product changes the
+        head's rounding once it has a few hundred rows (608 on OpenBLAS 0.3
+        Haswell kernels), so 640 samples must start with the 8-sample matrix."""
+        rng = np.random.default_rng(4)
+        k = 2
+        model = tiny_model(n_channels=k, hidden=40, layers=2, context=62, horizon=31, seed=5)
+        cond = self.conditioning(rng, m=70)
+        cov = rng.normal(0.0, 1.0, (k, 70 + 31))
+        big = sample_forecast(model, cond, cov, n_samples=640, seed=(7, 3))
+        small = sample_forecast(model, cond, cov, n_samples=8, seed=(7, 3))
+        np.testing.assert_array_equal(big.samples[:8], small.samples)
 
     def test_int_seed_equals_singleton_tuple(self):
         """An integer seed is shorthand for the one-element tuple."""

@@ -119,6 +119,21 @@ class TestChannels:
                 assert out[0, i - 1] == float(np.mean(window))
                 assert out[1, i - 1] == float(np.std(window))
 
+    @pytest.mark.parametrize(
+        "n, w, p",
+        [(1, 1, 1), (9, 9, 9), (9, 9, 1), (40, 7, 7), (40, 7, 1), (40, 40, 3), (181, 62, 31)],
+    )
+    def test_equals_per_index_statistics_bytes(self, n, w, p):
+        """The array reduction gives the bytes of reducing each index's window alone."""
+        z = np.random.default_rng(n * 1000 + w * 10 + p).uniform(0.0, 2000.0, size=n)
+        cfg = LmaConfig(window_len=w, horizon=p, features=("std", "mean"), standardize=False)
+        expected = np.empty((2, n + p))
+        for i in range(1, n + p + 1):
+            start, length = lma_window(i, n, w, p)
+            window = z[start - 1 : start - 1 + length]
+            expected[:, i - 1] = [feature_value(window, kind) for kind in cfg.features]
+        assert lma_features(z, cfg).tobytes() == expected.tobytes()
+
     def test_constant_runs_at_ends(self):
         """Head entries (i < horizon) and entries from n onward are constant runs."""
         rng = np.random.default_rng(77)
