@@ -6,15 +6,20 @@ annotations, so each field's type is a string such as ``"int"`` or
 decide how a field is written to JSON (tuples as lists, dates as ISO
 strings), how it is read back, and which values ``check_field_types``
 accepts.  ``bool`` is not an ``int`` here, and neither is ``2.5``.
+
+``hashed_json`` gives every provenance file, which embeds these JSON forms,
+its content hash and its bytes.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
+import json
 import numbers
 from dataclasses import fields
 
-__all__ = ["check_field_types", "from_json", "to_json"]
+__all__ = ["check_field_types", "from_json", "hashed_json", "to_json"]
 
 # annotation -> (accepts a value, singular description, plural description)
 _SCALARS = {
@@ -52,6 +57,14 @@ def to_json(cfg) -> dict:
             value = value.isoformat()
         out[f.name] = value
     return out
+
+
+def hashed_json(payload: dict) -> tuple[dict, str]:
+    """``payload`` plus the sha256 of its canonical JSON as ``config_sha256``,
+    and that dict as the indented, sorted text a provenance file holds."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    hashed = {**payload, "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest()}
+    return hashed, json.dumps(hashed, sort_keys=True, indent=2) + "\n"
 
 
 def from_json(cls, raw: dict):

@@ -15,22 +15,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import json
 import sys
 
 import numpy as np
 
 from . import __version__
+from ._fields import hashed_json
 from .config import ConfigError, RunConfig
-from .deepar import load_model, point_forecast, sample_forecast, save_model, train
+from .deepar import load_model, point_forecast, save_model, train
 from .evalharness import (
     HoltWintersForecaster,
     SeasonalNaiveForecaster,
     TrainedModelForecaster,
-    rmsle_per_series,
-    rmsle_pooled,
-    stability_std,
+    score_steps,
     sweep,
     write_provenance,
     write_report_csvs,
@@ -88,12 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_sidecar(artifact_path: str, command: str, cfg: RunConfig) -> None:
+    # Not write_provenance: perfbench times calls to that name as report writing.
     payload = {"command": command, "config": cfg.data, "version": __version__}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    payload["config_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     with open(artifact_path + ".provenance.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(hashed_json(payload)[1])
 
 
 def _train_inputs(cfg: RunConfig, with_lma: bool):
@@ -146,23 +141,15 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> int:
-    model = load_model(cfg.path("model"))
-    panel = load_panel(cfg.path("panel"))
-    split = cfg.section("split")
-    train_panel, _ = split_panel(panel, split)
-    horizon = split.horizon
-    if horizon > model.train_config.horizon:
-        raise ConfigError(
-            f"split horizon {horizon} exceeds the model horizon {model.train_config.horizon}"
-        )
-    covariates = assemble_covariates(
-        train_panel,
-        model.lma_config,
-        model.train_config.horizon,
-        day_of_week=model.train_config.day_of_week,
-    )
     sweep_cfg = cfg.section("sweep")
     n_samples = sweep_cfg.n_samples
+    forecaster = TrainedModelForecaster(
+        load_model(cfg.path("model")), n_samples, sweep_cfg.statistic
+    )
+    split = cfg.section("split")
+    train_panel, _ = split_panel(load_panel(cfg.path("panel")), split)
+    horizon = split.horizon
+    forecasts = forecaster.forecasts(train_panel, horizon, (sweep_cfg.seed,))
     samples_path = cfg.path("forecast_samples")
     point_path = cfg.path("forecast_point")
     with open(samples_path, "w", newline="") as fh_s, open(point_path, "w", newline="") as fh_p:
@@ -170,20 +157,11 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> int:
         w_point = csv.writer(fh_p, lineterminator="\n")
         w_samples.writerow(["series_id", "step", "sample_id", "value"])
         w_point.writerow(["series_id", "step", "value"])
-        for i, sid in enumerate(train_panel.series_ids):
-            channels = covariates.channels[i] if covariates is not None else None
-            fc = sample_forecast(
-                model,
-                train_panel.values[i],
-                channels,
-                horizon=horizon,
-                n_samples=n_samples,
-                seed=(sweep_cfg.seed, i),
-            )
+        for sid, fc in zip(train_panel.series_ids, forecasts):
             for t in range(horizon):
                 for s in range(n_samples):
                     w_samples.writerow([sid, t + 1, s, repr(float(fc.samples[s, t]))])
-            point = point_forecast(fc, sweep_cfg.statistic)
+            point = point_forecast(fc, forecaster.statistic)
             for t in range(horizon):
                 w_point.writerow([sid, t + 1, repr(float(point[t]))])
     _write_sidecar(samples_path, "forecast", cfg)
@@ -195,7 +173,7 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_point_forecast(path: str, series_ids: tuple[str, ...]) -> np.ndarray:
+def _load_point_forecast(path: str, series_ids: tuple[str, ...], max_step: int) -> np.ndarray:
     by_series: dict[str, dict[int, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -211,6 +189,10 @@ def _load_point_forecast(path: str, series_ids: tuple[str, ...]) -> np.ndarray:
                 value = float(value_raw)
             except ValueError as exc:
                 raise CliError(f"{path}:{lineno}: {exc}") from None
+            if not 1 <= step <= max_step:
+                raise CliError(
+                    f"{path}:{lineno}: step {step} outside the {max_step}-day test range"
+                )
             by_series.setdefault(sid, {})
             if step in by_series[sid]:
                 raise CliError(f"{path}:{lineno}: duplicate step {step} for {sid}")
@@ -235,38 +217,20 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = load_panel(cfg.path("panel"))
     split = cfg.section("split")
     _, test_panel = split_panel(panel, split)
-    pred = _load_point_forecast(cfg.path("forecast_point"), panel.series_ids)
-    horizon = pred.shape[1]
-    if horizon > split.horizon:
-        raise CliError(
-            f"forecast covers {horizon} steps but the test range has {split.horizon}"
-        )
-    pred = np.maximum(pred, 0.0)
-    actual = test_panel.values[:, :horizon]
+    pred = _load_point_forecast(cfg.path("forecast_point"), panel.series_ids, split.horizon)
+    steps = tuple(range(1, pred.shape[1] + 1))
+    pooled, stability, _ = score_steps(test_panel.values, pred, steps)
     out = cfg.path("metrics")
-    pooled_values = []
-    stability_values = []
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "pooled_rmsle", "stability_std"])
-        for s in range(1, horizon + 1):
-            rows = rmsle_per_series(actual[:, :s], pred[:, :s])
-            pooled = rmsle_pooled(actual[:, :s], pred[:, :s])
-            stab = stability_std(rows)
-            pooled_values.append(pooled)
-            stability_values.append(stab)
-            writer.writerow([str(s), repr(pooled), repr(stab)])
-        writer.writerow(
-            [
-                "mean",
-                repr(float(np.mean(pooled_values))),
-                repr(float(np.mean(stability_values))),
-            ]
-        )
+        for s, p, v in zip(steps, pooled, stability):
+            writer.writerow([str(s), repr(float(p)), repr(float(v))])
+        writer.writerow(["mean", repr(float(np.mean(pooled))), repr(float(np.mean(stability)))])
     _write_sidecar(out, "evaluate", cfg)
     print(
-        f"wrote {out} (pooled RMSLE at {horizon} steps:"
-        f" {pooled_values[-1]:.6f}, stability {stability_values[-1]:.6f})"
+        f"wrote {out} (pooled RMSLE at {steps[-1]} steps:"
+        f" {pooled[-1]:.6f}, stability {stability[-1]:.6f})"
     )
     return 0
 

@@ -16,7 +16,7 @@ from .network import (
     sigmoid,
     softplus,
 )
-from .grad import batch_loss_and_grad, window_loss_and_grad
+from .grad import batch_loss_and_grad
 
 from .training import TrainConfig, TrainedModel, TrainError, train
 from .forecasting import Forecast, ForecastError, point_forecast, sample_forecast
@@ -33,7 +33,6 @@ __all__ = [
     "sigmoid",
     "softplus",
     "batch_loss_and_grad",
-    "window_loss_and_grad",
     "TrainConfig",
     "TrainedModel",
     "TrainError",

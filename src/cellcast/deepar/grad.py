@@ -6,10 +6,6 @@ the window seeds the first lag; a window at the very start of a series gets a
 zero seed lag) and is scored against the observed value at t.  The loss is
 the mean Gaussian negative log-likelihood over the steps, computed on the
 scaled series.
-
-The batched path processes many windows at once and is the training hot
-path; ``window_loss_and_grad`` is the single-window view of the same
-computation and is what the finite-difference oracle exercises.
 """
 
 from __future__ import annotations
@@ -18,10 +14,10 @@ import math
 
 import numpy as np
 
-from .network import DEFAULT_SIGMA_FLOOR, lstm_cell, sigmoid, softplus
+from .network import DEFAULT_SIGMA_FLOOR, gaussian_nll, input_rows, lstm_cell, sigmoid, softplus
 from .params import NetworkParams
 
-__all__ = ["batch_loss_and_grad", "window_loss_and_grad"]
+__all__ = ["batch_loss_and_grad"]
 
 
 def _forward_batch(
@@ -118,9 +114,10 @@ def batch_loss_and_grad(
     z_windows is (B, T+1): a seed lag followed by T observed targets per
     window, in data units.  x_windows is (B, T, K) covariate rows aligned
     with the targets, or None for a covariate-free model.  scales holds the
-    per-window scale applied to both lags and targets.  A non-finite loss
-    or gradient raises ValueError (the gradient through the NetworkParams
-    checks), which is how a diverging run shows.
+    per-window scale applied to both lags and targets.  Non-finite head
+    outputs, loss or gradient raise ValueError (the outputs through
+    gaussian_nll, the gradient through the NetworkParams checks), which is
+    how a diverging run shows.
     """
     z_windows = np.asarray(z_windows, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
@@ -135,63 +132,18 @@ def batch_loss_and_grad(
         raise ValueError("scales must be finite and positive")
     if sigma_floor <= 0.0:
         raise ValueError("sigma_floor must be positive")
-    n_channels = params.input_size - 1
-    lags = z_windows[:, :-1] / scales[:, None]
+    inputs = input_rows(z_windows[:, :-1] / scales[:, None], x_windows, params)
     targets = z_windows[:, 1:] / scales[:, None]
-    if n_channels == 0:
-        if x_windows is not None:
-            raise ValueError("model takes no covariates but x_windows was given")
-        inputs = lags[:, :, None]
-    else:
-        if x_windows is None:
-            raise ValueError(f"model expects {n_channels} covariate channels, got none")
-        x_windows = np.asarray(x_windows, dtype=np.float64)
-        if x_windows.shape != (n_batch, length, n_channels):
-            raise ValueError(
-                f"expected covariates of shape ({n_batch}, {length}, {n_channels}),"
-                f" got {x_windows.shape}"
-            )
-        if not np.all(np.isfinite(x_windows)):
-            raise ValueError("non-finite covariate values")
-        inputs = np.concatenate([lags[:, :, None], x_windows], axis=2)
     mu, s_pre, caches = _forward_batch(inputs, params)
     sigma = softplus(s_pre) + sigma_floor
-    resid = targets - mu
-    nll = 0.5 * np.log(2.0 * math.pi * sigma * sigma) + resid * resid / (
-        2.0 * sigma * sigma
-    )
-    loss = float(np.mean(nll))
+    loss = float(np.mean(gaussian_nll(targets, mu, sigma, 1.0)))
     if not math.isfinite(loss):
         raise ValueError(f"non-finite batch loss {loss}")
     inv_count = 1.0 / (n_batch * length)
     d_mu = (mu - targets) / (sigma * sigma) * inv_count
+    resid = targets - mu
     d_sigma = (1.0 / sigma - resid * resid / sigma**3) * inv_count
     d_spre = d_sigma * sigmoid(s_pre)
     grads = _backward_batch(d_mu, d_spre, params, caches)
     return loss, grads
 
-
-def window_loss_and_grad(
-    z_window: np.ndarray,
-    x_window: np.ndarray | None,
-    params: NetworkParams,
-    scale: float,
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-) -> tuple[float, NetworkParams]:
-    """Loss and gradient for a single window.
-
-    z_window is (T+1,): the seed lag then T observed targets; x_window is
-    (T, K) or None; scale is this window's series scale.
-    """
-    z_window = np.asarray(z_window, dtype=np.float64)
-    if z_window.ndim != 1 or z_window.size < 2:
-        raise ValueError("z_window must be 1-D with at least two values")
-    x_batch = None
-    if x_window is not None:
-        x_window = np.asarray(x_window, dtype=np.float64)
-        if x_window.ndim != 2:
-            raise ValueError("x_window must be (T, K)")
-        x_batch = x_window[None, :, :]
-    return batch_loss_and_grad(
-        z_window[None, :], x_batch, np.array([float(scale)]), params, sigma_floor
-    )

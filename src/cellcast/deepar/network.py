@@ -20,6 +20,7 @@ __all__ = [
     "advance",
     "forward_window",
     "gaussian_nll",
+    "input_rows",
     "lstm_cell",
     "series_scale",
     "sigmoid",
@@ -110,11 +111,36 @@ def gaussian_nll(
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
-        raise ValueError("likelihood parameters must be finite")
+        raise ValueError("non-finite likelihood parameters")
     if np.any(sigma <= 0.0):
         raise ValueError("sigma must be positive")
     resid = z / scale - mu
-    return 0.5 * np.log(2.0 * math.pi * sigma**2) + resid**2 / (2.0 * sigma**2)
+    return 0.5 * np.log(2.0 * math.pi * sigma * sigma) + resid * resid / (2.0 * sigma * sigma)
+
+
+def input_rows(
+    lags: np.ndarray, covariates: np.ndarray | None, params: NetworkParams
+) -> np.ndarray:
+    """Network inputs (..., L, 1+K): scaled lags (..., L) next to covariate rows.
+
+    covariates is (..., L, K) for a model with K channels and None for a
+    covariate-free one; anything else, or a non-finite value, is rejected.
+    """
+    n_channels = params.input_size - 1
+    if n_channels == 0:
+        if covariates is not None:
+            raise ValueError("model takes no covariates but covariates were given")
+        return lags[..., None]
+    if covariates is None:
+        raise ValueError(f"model expects {n_channels} covariate channels, got none")
+    covariates = np.asarray(covariates, dtype=np.float64)
+    if covariates.shape != (*lags.shape, n_channels):
+        raise ValueError(
+            f"expected covariates of shape {(*lags.shape, n_channels)}, got {covariates.shape}"
+        )
+    if not np.all(np.isfinite(covariates)):
+        raise ValueError("non-finite covariate values")
+    return np.concatenate([lags[..., None], covariates], axis=-1)
 
 
 def forward_window(
@@ -141,22 +167,7 @@ def forward_window(
     if sigma_floor <= 0.0:
         raise ValueError("sigma_floor must be positive")
     length = z_lags.size
-    n_channels = params.input_size - 1
-    if n_channels == 0:
-        if x_window is not None:
-            raise ValueError("model takes no covariates but x_window was given")
-        inputs = (z_lags / scale)[:, None]
-    else:
-        if x_window is None:
-            raise ValueError(f"model expects {n_channels} covariate channels, got none")
-        x_window = np.asarray(x_window, dtype=np.float64)
-        if x_window.shape != (length, n_channels):
-            raise ValueError(
-                f"expected covariates of shape ({length}, {n_channels}), got {x_window.shape}"
-            )
-        if not np.all(np.isfinite(x_window)):
-            raise ValueError("non-finite covariate values")
-        inputs = np.concatenate([(z_lags / scale)[:, None], x_window], axis=1)
+    inputs = input_rows(z_lags / scale, x_window, params)
     h = np.zeros((params.num_layers, 1, params.hidden_size))
     c = np.zeros_like(h)
     mu = np.empty(length)

@@ -124,9 +124,6 @@ class NetworkParams:
             pos += a.size
         return self.with_arrays(arrays)
 
-    def zeros_like(self) -> "NetworkParams":
-        return self.with_arrays([np.zeros_like(a) for a in self.arrays()])
-
     def freeze(self) -> "NetworkParams":
         for a in self.arrays():
             a.setflags(write=False)

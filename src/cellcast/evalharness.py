@@ -16,16 +16,14 @@ report files.
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
-from ._fields import to_json
+from ._fields import hashed_json, to_json
 from .baselines import HoltWintersConfig, holt_winters, seasonal_naive
-from .deepar import TrainedModel, point_forecast, sample_forecast
+from .deepar import Forecast, TrainedModel, point_forecast, sample_forecast
 from .lma import assemble_covariates
 from .panel import SeriesPanel, SplitSpec, split_panel
 
@@ -39,6 +37,7 @@ __all__ = [
     "TrainedModelForecaster",
     "rmsle_per_series",
     "rmsle_pooled",
+    "score_steps",
     "stability_std",
     "sweep",
     "write_provenance",
@@ -94,6 +93,27 @@ def stability_std(per_series_rmsle: np.ndarray) -> float:
     return float(np.std(v))
 
 
+def score_steps(
+    actual: np.ndarray, predicted: np.ndarray, steps: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score each step s on the first s days, predictions clamped at 0 first.
+
+    Returns the pooled RMSLE and the stability std, each (n_steps,), and the
+    per-series RMSLE, (n_series, n_steps).
+    """
+    actual = np.asarray(actual, dtype=np.float64)
+    predicted = np.maximum(np.asarray(predicted, dtype=np.float64), 0.0)
+    pooled = np.empty(len(steps))
+    stability = np.empty(len(steps))
+    per_series = np.empty((actual.shape[0], len(steps)))
+    for k, s in enumerate(steps):
+        a, p = actual[:, :s], predicted[:, :s]
+        per_series[:, k] = rows = rmsle_per_series(a, p)
+        pooled[k] = rmsle_pooled(a, p)
+        stability[k] = stability_std(rows)
+    return pooled, stability, per_series
+
+
 class Forecaster(Protocol):
     """Anything the sweep can score: one point-forecast matrix per call."""
 
@@ -118,9 +138,15 @@ class TrainedModelForecaster:
     n_samples: int = 100
     statistic: str = "median"
 
-    def forecast_panel(
+    def forecasts(
         self, train_panel: SeriesPanel, horizon: int, seed_ids: tuple[int, ...] = (0,)
-    ) -> np.ndarray:
+    ) -> Iterator[Forecast]:
+        """One sampled Forecast per series, in panel order.
+
+        The horizon and channel checks and the covariate build run in this
+        call, before the first series is sampled; the series are sampled as
+        the iterator is consumed.
+        """
         cfg = self.model.train_config
         if horizon > cfg.horizon:
             raise EvalError(
@@ -135,19 +161,23 @@ class TrainedModelForecaster:
                 f"panel produces {n_channels} covariate channels,"
                 f" model expects {self.model.n_channels}"
             )
-        values = train_panel.values
-        out = np.empty((train_panel.n_series, horizon))
-        for i in range(train_panel.n_series):
-            fc = sample_forecast(
+        return (
+            sample_forecast(
                 self.model,
-                values[i],
+                train_panel.values[i],
                 cov.channels[i] if cov is not None else None,
                 horizon=horizon,
                 n_samples=self.n_samples,
                 seed=(*seed_ids, i),
             )
-            out[i] = point_forecast(fc, self.statistic)
-        return out
+            for i in range(train_panel.n_series)
+        )
+
+    def forecast_panel(
+        self, train_panel: SeriesPanel, horizon: int, seed_ids: tuple[int, ...] = (0,)
+    ) -> np.ndarray:
+        forecasts = self.forecasts(train_panel, horizon, seed_ids)
+        return np.array([point_forecast(fc, self.statistic) for fc in forecasts])
 
     def describe(self) -> dict:
         lma = self.model.lma_config
@@ -298,15 +328,7 @@ def sweep(
                 )
             if not np.all(np.isfinite(pred)):
                 raise EvalError("non-finite forecast values")
-            pred = np.maximum(pred, 0.0)
-            pooled = np.empty(len(steps))
-            stab = np.empty(len(steps))
-            per_series = np.empty((n_series, len(steps)))
-            for k, s in enumerate(steps):
-                rows = rmsle_per_series(actual[:, :s], pred[:, :s])
-                per_series[:, k] = rows
-                pooled[k] = rmsle_pooled(actual[:, :s], pred[:, :s])
-                stab[k] = stability_std(rows)
+            pooled, stab, per_series = score_steps(actual, pred, steps)
             ok_names.append(name)
             pooled_rows.append(pooled)
             stability_rows.append(stab)
@@ -351,19 +373,12 @@ def write_report_csvs(report: EvalReport, pooled_path: str, stability_path: str)
 
 def provenance_payload(report: EvalReport, extra: dict | None = None) -> dict:
     """Sidecar content: harness provenance plus caller context, with a content hash."""
-    payload = {"provenance": report.provenance}
-    if extra:
-        payload.update(extra)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    payload["config_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return payload
+    return hashed_json({"provenance": report.provenance, **(extra or {})})[0]
 
 
 def write_provenance(report: EvalReport, path: str, extra: dict | None = None) -> None:
-    payload = provenance_payload(report, extra)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(hashed_json({"provenance": report.provenance, **(extra or {})})[1])
 
 
 def _svg_chart(

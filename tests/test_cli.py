@@ -4,6 +4,7 @@ Each test drives run_command with --set overrides pointing all artifacts at a
 temporary directory, then inspects files and exit codes.
 """
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -11,7 +12,15 @@ import json
 import numpy as np
 import pytest
 
-from cellcast import TrainConfig, load_model, load_panel
+from cellcast import (
+    SplitSpec,
+    TrainConfig,
+    TrainedModelForecaster,
+    load_model,
+    load_panel,
+    score_steps,
+    split_panel,
+)
 from cellcast import cli
 from cellcast.cli import run_command
 from cellcast._fields import from_json, to_json
@@ -164,6 +173,41 @@ class TestPipeline:
             assert run_cli(command, ov) == 0
         for name in artifacts:
             assert (tmp_path / name).read_bytes() == before[name], name
+
+    def test_forecast_and_evaluate_match_the_library(self, tmp_path):
+        """forecast writes the trajectories and points TrainedModelForecaster
+        draws for sweep.seed, and evaluate scores them with score_steps."""
+        ov = base_overrides(tmp_path, **{"sweep.seed": "3", "sweep.statistic": "mean"})
+        for command in ("generate", "train", "forecast", "evaluate"):
+            assert run_cli(command, ov) == 0, command
+        train_panel, test_panel = split_panel(load_panel(str(tmp_path / "panel.csv")), SplitSpec(36, 40))
+        forecaster = TrainedModelForecaster(load_model(str(tmp_path / "model.bin")), 8, "mean")
+        forecasts = list(forecaster.forecasts(train_panel, 5, (3,)))
+        point = forecaster.forecast_panel(train_panel, 5, (3,))
+
+        with open(tmp_path / "forecast_point.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[0], int(r[1])) for r in rows] == [
+            (sid, t) for sid in train_panel.series_ids for t in range(1, 6)
+        ]
+        written = np.array([float(r[2]) for r in rows]).reshape(4, 5)
+        assert written.tobytes() == point.tobytes()
+
+        with open(tmp_path / "forecast_samples.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        for i, (sid, fc) in enumerate(zip(train_panel.series_ids, forecasts)):
+            block = rows[i * 40 : (i + 1) * 40]
+            assert [(r[0], int(r[1]), int(r[2])) for r in block] == [
+                (sid, t, s) for t in range(1, 6) for s in range(8)
+            ]
+            samples = np.array([float(r[3]) for r in block]).reshape(5, 8).T
+            assert samples.tobytes() == fc.samples.tobytes()
+
+        pooled, stability, _ = score_steps(test_panel.values, point, (1, 2, 3, 4, 5))
+        expected = ["step,pooled_rmsle,stability_std"]
+        expected += [f"{s},{float(p)!r},{float(v)!r}" for s, p, v in zip(range(1, 6), pooled, stability)]
+        expected.append(f"mean,{float(np.mean(pooled))!r},{float(np.mean(stability))!r}")
+        assert (tmp_path / "metrics.csv").read_text().splitlines() == expected
 
     def test_no_lma_trains_channel_free_model(self, tmp_path):
         ov = base_overrides(tmp_path)
@@ -334,6 +378,31 @@ class TestErrors:
         assert run_cli("evaluate", ov) == 1
         err = capsys.readouterr().err
         assert "missing steps" in err or "unequal" in err
+
+    @pytest.mark.parametrize("step", ["1000000000", "0", "-5"])
+    def test_evaluate_rejects_step_outside_test_range(self, tmp_path, capsys, step):
+        """A step outside 1..split horizon is one error line naming the file
+        and line, raised before the forecast matrix is allocated."""
+        ov = base_overrides(tmp_path)
+        assert run_cli("generate", ov) == 0
+        capsys.readouterr()
+        point = tmp_path / "forecast_point.csv"
+        ids = load_panel(str(tmp_path / "panel.csv")).series_ids
+        point.write_text("series_id,step,value\n" + "".join(f"{sid},{step},1.0\n" for sid in ids))
+        assert run_cli("evaluate", ov) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {point}:2: step {step} ") and err.count("\n") == 1
+
+    def test_forecast_past_model_horizon_is_one_error_line(self, tmp_path, capsys):
+        ov = base_overrides(tmp_path)
+        for command in ("generate", "train"):
+            assert run_cli(command, ov) == 0
+        capsys.readouterr()
+        assert run_cli("forecast", base_overrides(tmp_path, **{"split.pred_start": "35"})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "horizon 5 cannot forecast 6 steps" in err
+        assert not (tmp_path / "forecast_point.csv").exists()
 
     def test_evaluate_rejects_wrong_header(self, tmp_path, capsys):
         ov = base_overrides(tmp_path)

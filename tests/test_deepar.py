@@ -31,7 +31,6 @@ from cellcast import (
     series_scale,
     substream,
     train,
-    window_loss_and_grad,
 )
 from cellcast.deepar import (
     MODEL_FORMAT_VERSION,
@@ -158,7 +157,7 @@ class TestCellMath:
     def test_zero_weights_give_constant_head(self):
         """An all-zero network is input-blind: mu 0, sigma softplus(0) + floor everywhere."""
         params = make_params(1, 3, 2, seed=1)
-        zeros = params.zeros_like()
+        zeros = params.with_arrays([np.zeros_like(a) for a in params.arrays()])
         mu, sigma, _ = forward_window(np.array([5.0, 0.0, 123.0]), None, zeros, 2.0, 1e-6)
         assert mu.shape == sigma.shape == (3,)
         assert np.all(mu == 0.0)
@@ -217,8 +216,8 @@ class TestCellMath:
             gaussian_nll(1.0, 2.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             gaussian_nll(1.0, 2.0, 0.0, 1.0)  # sigma must be positive
-        with pytest.raises(ValueError):
-            gaussian_nll(1.0, math.nan, 1.0, 1.0)  # parameters must be finite
+        with pytest.raises(ValueError, match="^non-finite"):
+            gaussian_nll(1.0, math.nan, 1.0, 1.0)  # training reports divergence with this
 
     def test_forward_window_validation(self):
         """Shape and finiteness violations are rejected."""
@@ -288,7 +287,8 @@ class TestGradients:
             assert worst < 1e-6, worst
 
     def test_batch_gradient_is_mean_of_window_gradients(self):
-        """Batching is an average: batch gradient equals the mean of single-window gradients."""
+        """Batching is an average: batch gradient equals the mean of the gradients
+        of batches of one window."""
         rng = np.random.default_rng(33)
         params = make_params(2, 3, 1, seed=5)
         b, t_len = 4, 6
@@ -297,7 +297,8 @@ class TestGradients:
         scales = rng.uniform(1.0, 5.0, b)
         loss, grads = batch_loss_and_grad(z, x, scales, params)
         single = [
-            window_loss_and_grad(z[i], x[i], params, scales[i]) for i in range(b)
+            batch_loss_and_grad(z[i : i + 1], x[i : i + 1], scales[i : i + 1], params)
+            for i in range(b)
         ]
         np.testing.assert_allclose(loss, np.mean([s[0] for s in single]), rtol=1e-12)
         mean_grad = np.mean([s[1].to_vector() for s in single], axis=0)

@@ -1,0 +1,44 @@
+"""Checks on what lives next to the package: the benchmark's hooks and the
+README's examples.
+
+perfbench traces cellcast by wrapping module attributes by name, so a
+renamed or bypassed function silently drops its metrics; the smoke run
+reports that.  The README's code is the first thing a reader runs, so every
+public name it uses must keep working.
+"""
+
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_perfbench_smoke_run_passes():
+    """Every workload runs at toy size, untraced and traced, with every hook found."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "smoke ok", proc.stderr[-2000:]
+    assert [line for line in lines if line.startswith("hook missing:")] == []
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    """README's python blocks run in order, in one namespace."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), flags=re.S | re.M)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert "lma_deepar" in capsys.readouterr().out
