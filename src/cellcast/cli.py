@@ -14,7 +14,6 @@ a run can be reproduced exactly; nothing written depends on wall-clock time.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -34,7 +33,7 @@ from .evalharness import (
     write_svg_plots,
 )
 from .lma import assemble_covariates, export_covariates
-from .panel import load_panel, split_panel, write_panel
+from .panel import load_panel, read_long, split_panel, write_long, write_panel, write_step_table
 from .synth import generate_panel
 
 __all__ = ["main", "run_command"]
@@ -113,8 +112,6 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_covariates(cfg: RunConfig, args: argparse.Namespace) -> int:
     _, train_panel, train_cfg, lma_cfg, covariates = _train_inputs(cfg, with_lma=True)
-    if covariates is None:
-        raise ConfigError("no covariate channels configured")
     out = cfg.path("covariates")
     export_covariates(covariates, out)
     _write_sidecar(out, "covariates", cfg)
@@ -152,18 +149,18 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> int:
     forecasts = forecaster.forecasts(train_panel, horizon, (sweep_cfg.seed,))
     samples_path = cfg.path("forecast_samples")
     point_path = cfg.path("forecast_point")
-    with open(samples_path, "w", newline="") as fh_s, open(point_path, "w", newline="") as fh_p:
-        w_samples = csv.writer(fh_s, lineterminator="\n")
-        w_point = csv.writer(fh_p, lineterminator="\n")
-        w_samples.writerow(["series_id", "step", "sample_id", "value"])
-        w_point.writerow(["series_id", "step", "value"])
-        for sid, fc in zip(train_panel.series_ids, forecasts):
-            for t in range(horizon):
-                for s in range(n_samples):
-                    w_samples.writerow([sid, t + 1, s, repr(float(fc.samples[s, t]))])
-            point = point_forecast(fc, forecaster.statistic)
-            for t in range(horizon):
-                w_point.writerow([sid, t + 1, repr(float(point[t]))])
+    steps = range(1, horizon + 1)
+    points = []
+
+    def samples():
+        for fc in forecasts:
+            points.append(point_forecast(fc, forecaster.statistic))
+            yield fc.samples.T
+
+    ids = train_panel.series_ids
+    keys = [(t, s) for t in steps for s in range(n_samples)]
+    write_long(samples_path, ("series_id", "step", "sample_id", "value"), ids, keys, samples())
+    write_long(point_path, ("series_id", "step", "value"), ids, [(t,) for t in steps], points)
     _write_sidecar(samples_path, "forecast", cfg)
     _write_sidecar(point_path, "forecast", cfg)
     print(
@@ -174,29 +171,13 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _load_point_forecast(path: str, series_ids: tuple[str, ...], max_step: int) -> np.ndarray:
-    by_series: dict[str, dict[int, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["series_id", "step", "value"]:
-            raise CliError(f"{path}: expected header series_id,step,value, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise CliError(f"{path}:{lineno}: expected 3 fields")
-            sid, step_raw, value_raw = row
-            try:
-                step = int(step_raw)
-                value = float(value_raw)
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: {exc}") from None
-            if not 1 <= step <= max_step:
-                raise CliError(
-                    f"{path}:{lineno}: step {step} outside the {max_step}-day test range"
-                )
-            by_series.setdefault(sid, {})
-            if step in by_series[sid]:
-                raise CliError(f"{path}:{lineno}: duplicate step {step} for {sid}")
-            by_series[sid][step] = value
+    def parse_step(text: str) -> int:
+        step = int(text)
+        if not 1 <= step <= max_step:
+            raise ValueError(f"step {step} outside the {max_step}-day test range")
+        return step
+
+    by_series = read_long(path, ("series_id", "step", "value"), parse_step, CliError, False)
     if set(by_series) != set(series_ids):
         raise CliError(f"{path}: forecast series do not match the panel")
     horizons = {max(steps) for steps in by_series.values()}
@@ -205,11 +186,10 @@ def _load_point_forecast(path: str, series_ids: tuple[str, ...], max_step: int) 
     horizon = horizons.pop()
     out = np.empty((len(series_ids), horizon))
     for i, sid in enumerate(series_ids):
-        steps = by_series[sid]
-        if sorted(steps) != list(range(1, horizon + 1)):
+        # every step lies in 1..horizon, so a full series has horizon of them
+        if len(by_series[sid]) != horizon:
             raise CliError(f"{path}: missing steps for {sid}")
-        for step, value in steps.items():
-            out[i, step - 1] = value
+        out[i] = [by_series[sid][t] for t in range(1, horizon + 1)]
     return out
 
 
@@ -221,12 +201,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     steps = tuple(range(1, pred.shape[1] + 1))
     pooled, stability, _ = score_steps(test_panel.values, pred, steps)
     out = cfg.path("metrics")
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "pooled_rmsle", "stability_std"])
-        for s, p, v in zip(steps, pooled, stability):
-            writer.writerow([str(s), repr(float(p)), repr(float(v))])
-        writer.writerow(["mean", repr(float(np.mean(pooled))), repr(float(np.mean(stability)))])
+    write_step_table(out, ("step", "pooled_rmsle", "stability_std"), steps, (pooled, stability))
     _write_sidecar(out, "evaluate", cfg)
     print(
         f"wrote {out} (pooled RMSLE at {steps[-1]} steps:"

@@ -15,7 +15,6 @@ report files.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Iterator, Protocol
 
@@ -25,7 +24,7 @@ from ._fields import hashed_json, to_json
 from .baselines import HoltWintersConfig, holt_winters, seasonal_naive
 from .deepar import Forecast, TrainedModel, point_forecast, sample_forecast
 from .lma import assemble_covariates
-from .panel import SeriesPanel, SplitSpec, split_panel
+from .panel import SeriesPanel, SplitSpec, split_panel, write_step_table
 
 __all__ = [
     "DEFAULT_STEPS",
@@ -270,15 +269,8 @@ class EvalReport:
     def pooled_mean(self) -> np.ndarray:
         return self.pooled.mean(axis=1)
 
-    @property
-    def stability_mean(self) -> np.ndarray:
-        return self.stability.mean(axis=1)
-
     def model_pooled(self, name: str) -> np.ndarray:
         return self.pooled[self.models.index(name)]
-
-    def model_stability(self, name: str) -> np.ndarray:
-        return self.stability[self.models.index(name)]
 
 
 def sweep(
@@ -301,7 +293,6 @@ def sweep(
         raise EvalError(f"steps must be strictly increasing and >= 1, got {steps}")
     if not models:
         raise EvalError("no models to evaluate")
-    split.check_against(panel.n_steps)
     max_step = steps[-1]
     if max_step > split.horizon:
         raise EvalError(
@@ -326,8 +317,6 @@ def sweep(
                 raise EvalError(
                     f"expected forecasts of shape ({n_series}, {max_step}), got {pred.shape}"
                 )
-            if not np.all(np.isfinite(pred)):
-                raise EvalError("non-finite forecast values")
             pooled, stab, per_series = score_steps(actual, pred, steps)
             ok_names.append(name)
             pooled_rows.append(pooled)
@@ -356,24 +345,11 @@ def sweep(
     )
 
 
-def _write_table(path: str, report: EvalReport, matrix: np.ndarray, means: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", *report.models])
-        for k, s in enumerate(report.steps):
-            writer.writerow([str(s), *(repr(float(v)) for v in matrix[:, k])])
-        writer.writerow(["mean", *(repr(float(v)) for v in means)])
-
-
 def write_report_csvs(report: EvalReport, pooled_path: str, stability_path: str) -> None:
     """Step-by-model tables: pooled RMSLE and stability std, plus a mean row."""
-    _write_table(pooled_path, report, report.pooled, report.pooled_mean)
-    _write_table(stability_path, report, report.stability, report.stability_mean)
-
-
-def provenance_payload(report: EvalReport, extra: dict | None = None) -> dict:
-    """Sidecar content: harness provenance plus caller context, with a content hash."""
-    return hashed_json({"provenance": report.provenance, **(extra or {})})[0]
+    header = ("step", *report.models)
+    write_step_table(pooled_path, header, report.steps, report.pooled)
+    write_step_table(stability_path, header, report.steps, report.stability)
 
 
 def write_provenance(report: EvalReport, path: str, extra: dict | None = None) -> None:

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fields import check_field_types
-from .panel import SeriesPanel
+from .panel import SeriesPanel, write_long
 
 __all__ = [
     "FEATURE_KINDS",
@@ -251,10 +251,6 @@ def assemble_covariates(
 
 def export_covariates(cov: CovariatePanel, path: str) -> None:
     """Inspection CSV: ``series_id,channel,t,value`` with t 1-based."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("series_id,channel,t,value\n")
-        length = cov.channels.shape[2]
-        for i, sid in enumerate(cov.series_ids):
-            for k, kind in enumerate(cov.kinds):
-                for t in range(length):
-                    fh.write(f"{sid},{kind},{t + 1},{float(cov.channels[i, k, t])!r}\n")
+    steps = range(1, cov.channels.shape[2] + 1)
+    keys = [(kind, t) for kind in cov.kinds for t in steps]
+    write_long(path, ("series_id", "channel", "t", "value"), cov.series_ids, keys, cov.channels)

@@ -1,25 +1,34 @@
-"""Panel data model: loading, validating, writing and splitting daily traffic series.
+"""Panel data model and the CSV table codec every artifact table goes through.
 
 A panel is a rectangular collection of N daily series of equal length n,
 stored as a float64 matrix.  The on-disk format is a CSV with header
 ``series_id,date,value``; the canonical writer sorts rows by (series_id, date)
 and prints values with round-trip-exact decimal formatting, so
 ``load_panel(write_panel(p)) == p`` holds bit-for-bit.
+
+Every CSV table is written by ``write_long`` (a row per series and key) or
+``write_step_table`` (a row per step), and read back by ``read_long``.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
+import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ._fields import check_field_types
 
-__all__ = ["PanelError", "SeriesPanel", "SplitSpec", "load_panel", "write_panel", "split_panel"]
+__all__ = [
+    "PanelError", "SeriesPanel", "SplitSpec", "load_panel", "read_long", "split_panel",
+    "write_long", "write_panel", "write_step_table",
+]
 
-_HEADER = ["series_id", "date", "value"]
+_HEADER = ("series_id", "date", "value")
 _DAY = dt.timedelta(days=1)
 
 
@@ -129,14 +138,11 @@ class SplitSpec:
     def horizon(self) -> int:
         return self.pred_end - self.pred_start + 1
 
-    def check_against(self, n_steps: int) -> None:
-        if self.pred_end > n_steps:
-            raise PanelError(f"pred_end {self.pred_end} exceeds series length {n_steps}")
-
 
 def split_panel(panel: SeriesPanel, split: SplitSpec) -> tuple[SeriesPanel, SeriesPanel]:
     """Cut a panel into (train, test): steps 1..pred_start-1 and pred_start..pred_end."""
-    split.check_against(panel.n_steps)
+    if split.pred_end > panel.n_steps:
+        raise PanelError(f"pred_end {split.pred_end} exceeds series length {panel.n_steps}")
     t0 = split.pred_start
     train = SeriesPanel(panel.series_ids, panel.start_date, panel.values[:, : t0 - 1])
     test = SeriesPanel(
@@ -147,85 +153,132 @@ def split_panel(panel: SeriesPanel, split: SplitSpec) -> tuple[SeriesPanel, Seri
     return train, test
 
 
+def _csv_fields(fields: Iterable[object]) -> str:
+    """Fields joined as one CSV line without its end, quoted as ``csv`` quotes
+    them; the CR LF terminator makes ``csv`` quote a field holding either."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2]
+
+
+def write_long(path: str, header: Sequence[str], series_ids: Sequence[str], keys, rows) -> None:
+    """Write one line ``id,*key,value`` per series and key tuple, series-major.
+
+    ``rows`` yields one array per series with one value per key (raveled in C
+    order), and is consumed one series at a time.  Values print as
+    ``repr(float(v))``, so they read back bit for bit.
+    """
+    key_fields = [_csv_fields(key) for key in keys]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_csv_fields(header) + "\n")
+        for sid, row in zip(series_ids, rows, strict=True):
+            prefix = _csv_fields((sid,))
+            values = np.asarray(row, dtype=np.float64).ravel().tolist()
+            fh.write("".join([
+                f"{prefix},{key},{v!r}\n" for key, v in zip(key_fields, values, strict=True)
+            ]))
+
+
+def write_step_table(path: str, header: Sequence[str], steps: Sequence[int], columns) -> None:
+    """Write one row per step, ``columns[j]`` holding column j's values by step,
+    then a ``mean`` row with each column's mean over the steps."""
+    columns = np.asarray(columns, dtype=np.float64)
+    table = np.column_stack([columns, columns.mean(axis=1)]).T.tolist()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_csv_fields(header) + "\n")
+        for label, values in zip([*map(str, steps), "mean"], table, strict=True):
+            fh.write(",".join([label, *map(repr, values)]) + "\n")
+
+
+def read_long(
+    path: str, header: Sequence[str], parse_key: Callable, error: type, nonnegative: bool
+) -> dict[str, dict]:
+    """Read a three-column ``id,key,value`` table into ``{id: {key: value}}``.
+
+    Blank lines are skipped.  ``parse_key`` turns a key field into a key or
+    raises ValueError with the reason.  Every rejected row raises ``error``
+    with a ``PATH:LINE:`` prefix: a bad header, a wrong field count, an empty
+    id, a bad key, a bad or non-finite value, a negative value when
+    ``nonnegative``, or a key seen twice for one id.
+    """
+    table: dict[str, dict[object, float]] = {}
+    keys: dict[str, object] = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise error(f"{path}:1: empty file")
+        if first != list(header):
+            raise error(f"{path}:1: expected header {','.join(header)!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise error(f"{path}:{reader.line_num}: expected 3 fields, got {len(row)}")
+            sid, key_s, value_s = row
+            if sid == "":
+                raise error(f"{path}:{reader.line_num}: empty {header[0]}")
+            key = keys.get(key_s)
+            if key is None:
+                try:
+                    key = keys[key_s] = parse_key(key_s)
+                except ValueError as exc:
+                    raise error(f"{path}:{reader.line_num}: {exc}") from None
+            try:
+                value = float(value_s)
+            except ValueError:
+                raise error(f"{path}:{reader.line_num}: bad value {value_s!r}") from None
+            if not math.isfinite(value):
+                raise error(f"{path}:{reader.line_num}: non-finite value {value_s!r}")
+            if nonnegative and value < 0:
+                raise error(f"{path}:{reader.line_num}: negative value {value_s}")
+            entries = table.setdefault(sid, {})
+            if key in entries:
+                raise error(f"{path}:{reader.line_num}: duplicate entry for ({sid!r}, {key_s})")
+            entries[key] = value
+    return table
+
+
+def _parse_date(text: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError:
+        raise ValueError(f"bad date {text!r} (want YYYY-MM-DD)") from None
+
+
 def load_panel(path: str) -> SeriesPanel:
     """Read and validate a panel CSV.
 
     Rows may appear in any order, but per series the dates must form a
     gapless daily run, and all series must share the same start and end.
-    Every rejection names the offending series and/or line number.
+    A rejected row is named as ``PATH:LINE``; a rejected panel names the series.
     """
-    by_series: dict[str, dict[dt.date, float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelError(f"{path}: empty file") from None
-        if header != _HEADER:
-            raise PanelError(f"{path}: line 1: expected header {','.join(_HEADER)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if row == []:
-                continue
-            if len(row) != 3:
-                raise PanelError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            sid, date_s, value_s = row
-            if sid == "":
-                raise PanelError(f"{path}: line {lineno}: empty series_id")
-            try:
-                date = dt.date.fromisoformat(date_s)
-            except ValueError:
-                raise PanelError(
-                    f"{path}: line {lineno}: series {sid!r}: bad date {date_s!r} (want YYYY-MM-DD)"
-                ) from None
-            try:
-                value = float(value_s)
-            except ValueError:
-                raise PanelError(
-                    f"{path}: line {lineno}: series {sid!r}: bad value {value_s!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise PanelError(f"{path}: line {lineno}: series {sid!r}: non-finite value")
-            if value < 0:
-                raise PanelError(f"{path}: line {lineno}: series {sid!r}: negative value {value_s}")
-            dates = by_series.setdefault(sid, {})
-            if date in dates:
-                raise PanelError(f"{path}: line {lineno}: duplicate entry for ({sid!r}, {date_s})")
-            dates[date] = value
-
+    by_series = read_long(path, _HEADER, _parse_date, PanelError, nonnegative=True)
     if not by_series:
         raise PanelError(f"{path}: no data rows")
 
-    spans = {sid: (min(d), max(d), len(d)) for sid, d in by_series.items()}
-    lengths = {length for _, _, length in spans.values()}
+    spans = {sid: (min(d), len(d)) for sid, d in by_series.items()}
+    lengths = {length for _, length in spans.values()}
     if len(lengths) > 1:
-        detail = ", ".join(f"{sid!r}: {spans[sid][2]}" for sid in sorted(spans))
+        detail = ", ".join(f"{sid!r}: {spans[sid][1]}" for sid in sorted(spans))
         raise PanelError(f"{path}: unequal series lengths ({detail})")
-    starts = {start for start, _, _ in spans.values()}
+    starts = {start for start, _ in spans.values()}
     if len(starts) > 1:
         detail = ", ".join(f"{sid!r}: {spans[sid][0]}" for sid in sorted(spans))
         raise PanelError(f"{path}: series date ranges differ ({detail})")
 
     start = next(iter(starts))
-    n = next(iter(lengths))
-    for sid in sorted(by_series):
-        dates = by_series[sid]
-        for t in range(n):
-            day = start + t * _DAY
-            if day not in dates:
-                raise PanelError(f"{path}: series {sid!r}: date gap at {day}")
-
+    days = [start + t * _DAY for t in range(next(iter(lengths)))]
     ids = sorted(by_series)
-    values = np.array([[by_series[sid][start + t * _DAY] for t in range(n)] for sid in ids])
+    values = np.empty((len(ids), len(days)))
+    for i, sid in enumerate(ids):
+        try:
+            values[i] = [by_series[sid][day] for day in days]
+        except KeyError as exc:
+            raise PanelError(f"{path}: series {sid!r}: date gap at {exc.args[0]}") from None
     return SeriesPanel(tuple(ids), start, values)
 
 
 def write_panel(panel: SeriesPanel, path: str) -> None:
     """Write the canonical CSV: rows sorted by (series_id, date), values round-trip exact."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_HEADER)
-        dates = panel.dates()
-        for i, sid in enumerate(panel.series_ids):
-            row_values = panel.values[i]
-            for t, day in enumerate(dates):
-                writer.writerow([sid, day.isoformat(), repr(float(row_values[t]))])
+    write_long(path, _HEADER, panel.series_ids, [(d,) for d in panel.dates()], panel.values)

@@ -404,6 +404,33 @@ class TestErrors:
         assert "horizon 5 cannot forecast 6 steps" in err
         assert not (tmp_path / "forecast_point.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_evaluate_names_non_finite_value_line(self, tmp_path, capsys, value):
+        """A non-finite forecast value is one error line naming the file and line."""
+        ov = base_overrides(tmp_path)
+        assert run_cli("generate", ov) == 0
+        capsys.readouterr()
+        point = tmp_path / "forecast_point.csv"
+        ids = load_panel(str(tmp_path / "panel.csv")).series_ids
+        rows = [f"{sid},{t},1.0\n" for sid in ids for t in range(1, 6)]
+        rows[0] = f"{ids[0]},1,{value}\n"
+        point.write_text("series_id,step,value\n" + "".join(rows))
+        assert run_cli("evaluate", ov) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {point}:2: non-finite value") and err.count("\n") == 1
+
+    def test_evaluate_skips_blank_lines(self, tmp_path, capsys):
+        """Blank lines in the point file are skipped, as in panel.csv."""
+        ov = base_overrides(tmp_path)
+        assert run_cli("generate", ov) == 0
+        ids = load_panel(str(tmp_path / "panel.csv")).series_ids
+        rows = "".join(f"{sid},{t},{t}.5\n\n" for sid in ids for t in range(1, 6))
+        (tmp_path / "forecast_point.csv").write_text("series_id,step,value\n\n" + rows)
+        assert run_cli("evaluate", ov) == 0
+        assert (tmp_path / "metrics.csv").read_text().splitlines()[0] == (
+            "step,pooled_rmsle,stability_std"
+        )
+
     def test_evaluate_rejects_wrong_header(self, tmp_path, capsys):
         ov = base_overrides(tmp_path)
         assert run_cli("generate", ov) == 0

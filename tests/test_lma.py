@@ -1,5 +1,6 @@
 """Tests for LMA covariate channels: window placement, channel values, standardization."""
 
+import csv
 import datetime as dt
 
 import numpy as np
@@ -243,6 +244,24 @@ class TestCovariatePanel:
         panel = small_panel(rng)
         with pytest.raises(LmaError, match="horizon"):
             assemble_covariates(panel, LmaConfig(window_len=10, horizon=5), 7)
+
+    def test_export_quotes_ids(self, tmp_path):
+        """Ids that need quoting are quoted: every row reads back through csv
+        as 4 fields, and the values are the assembled channels bit for bit."""
+        rng = np.random.default_rng(15)
+        values = rng.uniform(0.0, 100.0, size=(2, 15))
+        panel = SeriesPanel(("a,b", 'c"d'), dt.date(2021, 1, 1), values)
+        cov = assemble_covariates(panel, LmaConfig(window_len=5, horizon=2), 2, day_of_week=True)
+        path = str(tmp_path / "cov.csv")
+        export_covariates(cov, path)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["series_id", "channel", "t", "value"]
+        assert all(len(row) == 4 for row in rows)
+        keys = [(sid, kind, str(t)) for sid in ("a,b", 'c"d') for kind in cov.kinds for t in range(1, 18)]
+        assert [tuple(row[:3]) for row in rows] == keys
+        read = np.array([float(row[3]) for row in rows]).reshape(cov.channels.shape)
+        assert read.tobytes() == cov.channels.tobytes()
 
     def test_export_round_trip(self, tmp_path):
         """The inspection CSV carries every channel value round-trip exact."""

@@ -115,7 +115,8 @@ class TestSplit:
 
 class TestCsvRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path):
-        """write_panel followed by load_panel reproduces the panel bit for bit."""
+        """write_panel followed by load_panel reproduces the panel bit for bit,
+        and the text form is pinned: csv quoting for ids, repr for values."""
         rng = np.random.default_rng(123)
         for k in range(10):
             p = make_panel(rng, n_series=int(rng.integers(1, 6)), n_steps=int(rng.integers(1, 25)))
@@ -123,6 +124,28 @@ class TestCsvRoundTrip:
             write_panel(p, path)
             q = load_panel(path)
             assert q == p
+        p = SeriesPanel(("a\rb", "a\nb", " c "), START, [[1.0], [2.0], [3.0]])
+        write_panel(p, str(tmp_path / "breaks.csv"))
+        assert load_panel(str(tmp_path / "breaks.csv")) == p
+        values = [0.0, 0.1, 5e-324, 1.5e300, 123456789.0]
+        p = SeriesPanel(('c"d', "a,b"), START, [values[::-1], values])
+        path = str(tmp_path / "pinned.csv")
+        write_panel(p, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == (
+                b"series_id,date,value\n"
+                b'"a,b",2021-01-01,0.0\n'
+                b'"a,b",2021-01-02,0.1\n'
+                b'"a,b",2021-01-03,5e-324\n'
+                b'"a,b",2021-01-04,1.5e+300\n'
+                b'"a,b",2021-01-05,123456789.0\n'
+                b'"c""d",2021-01-01,123456789.0\n'
+                b'"c""d",2021-01-02,1.5e+300\n'
+                b'"c""d",2021-01-03,5e-324\n'
+                b'"c""d",2021-01-04,0.1\n'
+                b'"c""d",2021-01-05,0.0\n'
+            )
+        assert load_panel(path) == p
 
     def test_row_order_is_irrelevant(self, tmp_path):
         """Shuffling data rows leaves the loaded panel unchanged."""
@@ -145,27 +168,31 @@ class TestCsvRoundTrip:
         return path
 
     def test_rejects_malformed_files(self, tmp_path):
-        """Each malformed input is rejected with a message naming the problem."""
+        """Each malformed input is rejected with a message naming the problem;
+        a rejected row is named by its line as PATH:LINE:."""
         header = "series_id,date,value"
         cases = [
-            ([], "empty file"),
-            (["wrong,header,here", "a,2021-01-01,1.0"], "expected header"),
-            ([header], "no data rows"),
-            ([header, "a,2021-01-01"], "expected 3 fields"),
-            ([header, ",2021-01-01,1.0"], "empty series_id"),
-            ([header, "a,01/02/2021,1.0"], "bad date"),
-            ([header, "a,2021-01-01,abc"], "bad value"),
-            ([header, "a,2021-01-01,nan"], "non-finite value"),
-            ([header, "a,2021-01-01,-3.0"], "negative value"),
-            ([header, "a,2021-01-01,1.0", "a,2021-01-01,2.0"], "duplicate entry"),
-            ([header, "a,2021-01-01,1.0", "a,2021-01-02,1.0", "b,2021-01-01,1.0"], "unequal series lengths"),
-            ([header, "a,2021-01-01,1.0", "b,2021-01-02,1.0"], "series date ranges differ"),
-            ([header, "a,2021-01-01,1.0", "a,2021-01-03,1.0", "b,2021-01-01,1.0", "b,2021-01-02,1.0"], "date gap"),
+            ([], 1, "empty file"),
+            (["wrong,header,here", "a,2021-01-01,1.0"], 1, "expected header"),
+            ([header], None, "no data rows"),
+            ([header, "a,2021-01-01"], 2, "expected 3 fields"),
+            ([header, ",2021-01-01,1.0"], 2, "empty series_id"),
+            ([header, "a,01/02/2021,1.0"], 2, "bad date"),
+            ([header, "a,2021-01-01,abc"], 2, "bad value"),
+            ([header, "a,2021-01-01,nan"], 2, "non-finite value"),
+            ([header, "a,2021-01-01,1.0", "", "a,2021-01-02,inf"], 4, "non-finite value"),
+            ([header, "a,2021-01-01,-3.0"], 2, "negative value"),
+            ([header, "a,2021-01-01,1.0", "a,2021-01-01,2.0"], 3, "duplicate entry"),
+            ([header, "a,2021-01-01,1.0", "a,2021-01-02,1.0", "b,2021-01-01,1.0"], None, "unequal series lengths"),
+            ([header, "a,2021-01-01,1.0", "b,2021-01-02,1.0"], None, "series date ranges differ"),
+            ([header, "a,2021-01-01,1.0", "a,2021-01-03,1.0", "b,2021-01-01,1.0", "b,2021-01-02,1.0"], None, "date gap"),
         ]
-        for lines, phrase in cases:
+        for lines, line, phrase in cases:
             path = self.write_lines(tmp_path, lines)
-            with pytest.raises(PanelError, match=phrase):
+            with pytest.raises(PanelError, match=phrase) as excinfo:
                 load_panel(path)
+            if line is not None:
+                assert str(excinfo.value).startswith(f"{path}:{line}: ")
 
     def test_rejects_date_gap(self, tmp_path):
         """A missing day inside a series is reported as a date gap."""

@@ -1,5 +1,5 @@
-"""Checks on what lives next to the package: the benchmark's hooks and the
-README's examples.
+"""Checks on what lives next to the package: the benchmark's hooks, the
+README's examples and the module that owns the CSV format.
 
 perfbench traces cellcast by wrapping module attributes by name, so a
 renamed or bypassed function silently drops its metrics; the smoke run
@@ -7,6 +7,7 @@ reports that.  The README's code is the first thing a reader runs, so every
 public name it uses must keep working.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -42,3 +43,27 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert "lma_deepar" in capsys.readouterr().out
+
+
+def test_only_panel_imports_csv():
+    """Every CSV table is written and read by panel.py's codec, so no other
+    module restates the format."""
+    package = os.path.join(ROOT, "src", "cellcast")
+    offenders = []
+    for folder, _, files in os.walk(package):
+        for name in files:
+            path = os.path.join(folder, name)
+            if not name.endswith(".py") or path == os.path.join(package, "panel.py"):
+                continue
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m == "csv" or m.startswith("csv.") for m in modules):
+                    offenders.append(os.path.relpath(path, ROOT))
+    assert offenders == []
