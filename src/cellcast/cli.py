@@ -20,8 +20,9 @@ import numpy as np
 
 from . import __version__
 from ._fields import hashed_json
+from ._fork import can_fork, fork_call
 from .config import ConfigError, RunConfig
-from .deepar import load_model, point_forecast, save_model, train
+from .deepar import TrainedModel, load_model, point_forecast, save_model, train
 from .evalharness import (
     HoltWintersForecaster,
     SeasonalNaiveForecaster,
@@ -210,6 +211,24 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _train_networks(jobs: dict[str, tuple]) -> dict[str, TrainedModel]:
+    """Train each job (name -> train's arguments) and return the models by
+    name.  With two jobs and a second usable CPU, the first job trains in a
+    forked child while this process trains the other.  Training is a pure
+    function, so the models are the same either way, and when both fail the
+    first job's error is raised, as in a run one after the other."""
+    names = list(jobs)
+    if len(names) < 2 or not can_fork():
+        return {name: train(*jobs[name]) for name in names}
+    with fork_call(train, *jobs[names[0]]) as first:
+        try:
+            rest = {name: train(*jobs[name]) for name in names[1:]}
+        except ValueError:
+            first.result()  # the first job's error wins
+            raise
+        return {names[0]: first.result(), **rest}
+
+
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = load_panel(cfg.path("panel"))
     split = cfg.section("split")
@@ -221,15 +240,27 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(
             f"sweep.steps: step {sweep_cfg.steps[-1]} exceeds the {split.horizon}-day test range"
         )
+    networks = [name for name in sweep_cfg.models if name in ("lma_deepar", "deepar")]
+    if networks and sweep_cfg.steps[-1] > train_cfg.horizon:
+        # the trained networks would all be dropped by sweep as EvalErrors
+        raise ConfigError(
+            f"sweep.steps: step {sweep_cfg.steps[-1]} exceeds train.horizon"
+            f" {train_cfg.horizon}, the longest forecast the networks learn"
+        )
+    jobs = {}
+    for name in networks:
+        lma_cfg = cfg.section("lma") if name == "lma_deepar" else None
+        covariates = assemble_covariates(
+            train_panel, lma_cfg, train_cfg.horizon, day_of_week=train_cfg.day_of_week
+        )
+        jobs[name] = (train_panel, covariates, train_cfg, lma_cfg)
+    trained = _train_networks(jobs)
     models = {}
     for name in sweep_cfg.models:
-        if name in ("lma_deepar", "deepar"):
-            lma_cfg = cfg.section("lma") if name == "lma_deepar" else None
-            covariates = assemble_covariates(
-                train_panel, lma_cfg, train_cfg.horizon, day_of_week=train_cfg.day_of_week
+        if name in trained:
+            models[name] = TrainedModelForecaster(
+                trained[name], sweep_cfg.n_samples, sweep_cfg.statistic
             )
-            model = train(train_panel, covariates, train_cfg, lma_cfg)
-            models[name] = TrainedModelForecaster(model, sweep_cfg.n_samples, sweep_cfg.statistic)
         elif name == "seasonal_naive":
             models[name] = SeasonalNaiveForecaster(sweep_cfg.naive_season)
         else:

@@ -40,6 +40,7 @@ from cellcast import (
     write_provenance,
     write_report_csvs,
 )
+from cellcast._fork import fork_call
 
 
 def announce(capsys, num, label, ok, detail):
@@ -164,8 +165,10 @@ def directional_sweep(out_dir):
     cfg = TrainConfig()
     lma_cfg = LmaConfig()
     cov = assemble_covariates(train_panel, lma_cfg, cfg.horizon)
-    lma_model = train(train_panel, cov, cfg, lma_cfg)
-    plain_model = train(train_panel, None, cfg)
+    # the two trainings are independent: run the first in a forked child
+    with fork_call(train, train_panel, cov, cfg, lma_cfg) as lma_run:
+        plain_model = train(train_panel, None, cfg)
+        lma_model = lma_run.result()
     models = {
         "lma_deepar": TrainedModelForecaster(lma_model, 100, "median"),
         "deepar": TrainedModelForecaster(plain_model, 100, "median"),

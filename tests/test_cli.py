@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ import pytest
 from cellcast import (
     SplitSpec,
     TrainConfig,
+    TrainError,
     TrainedModelForecaster,
     load_model,
     load_panel,
     score_steps,
     split_panel,
 )
-from cellcast import cli
+from cellcast import _fork, cli
 from cellcast.cli import run_command
 from cellcast._fields import from_json, to_json
 from cellcast.config import DEFAULT_CONFIG, SECTIONS
@@ -342,26 +344,48 @@ class TestErrors:
         assert not (tmp_path / "model.bin").exists()
 
     @pytest.mark.parametrize(
-        "steps, message",
+        "steps, extra, message",
         [
-            ("[5,3]", "steps must be strictly increasing and >= 1"),
-            ("[0,3]", "steps must be strictly increasing and >= 1"),
-            ("[3,6]", "step 6 exceeds the 5-day test range"),
+            pytest.param(steps, extra, message, id=f"{steps}-{message}")
+            for steps, extra, message in [
+                ("[5,3]", {}, "steps must be strictly increasing and >= 1"),
+                ("[0,3]", {}, "steps must be strictly increasing and >= 1"),
+                ("[3,6]", {}, "step 6 exceeds the 5-day test range"),
+                (
+                    "[2,3,5]",
+                    {"train.horizon": "3", "lma.horizon": "3"},
+                    "sweep.steps: step 5 exceeds train.horizon 3",
+                ),
+            ]
         ],
     )
     def test_bad_sweep_steps_fail_before_training(
-        self, tmp_path, capsys, monkeypatch, steps, message
+        self, tmp_path, capsys, monkeypatch, steps, extra, message
     ):
-        """Steps out of order, below 1 or past the test range are rejected
-        before any network is trained."""
+        """Steps out of order, below 1, past the test range or past the
+        networks' horizon are rejected before any network is trained."""
         assert run_cli("generate", base_overrides(tmp_path)) == 0
         capsys.readouterr()
         trained = []
         monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
-        assert run_cli("sweep", base_overrides(tmp_path, **{"sweep.steps": steps})) == 1
+        ov = base_overrides(tmp_path, **{"sweep.steps": steps, **extra})
+        assert run_cli("sweep", ov) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
         assert trained == []
+
+    def test_baselines_only_sweep_ignores_train_horizon(self, tmp_path):
+        """Steps past train.horizon are fine when no network is in the sweep."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        ov = base_overrides(
+            tmp_path,
+            **{
+                "train.horizon": "3",
+                "lma.horizon": "3",
+                "sweep.models": '["seasonal_naive","holt_winters"]',
+            },
+        )
+        assert run_cli("sweep", ov) == 0
 
     def test_horizon_mismatch_is_config_error(self, tmp_path, capsys):
         ov = base_overrides(tmp_path, **{"lma.horizon": "4"})
@@ -471,3 +495,105 @@ class TestErrors:
         assert run_cli("generate", ov) == 0
         assert run_cli("sweep", ov) == 1
         assert "every model failed" in capsys.readouterr().err
+
+
+REPORTS = (
+    "report_pooled.csv",
+    "report_stability.csv",
+    "report_provenance.json",
+    "report_pooled.svg",
+    "report_stability.svg",
+)
+
+
+class TestTwoProcessSweep:
+    """With two usable CPUs, sweep trains its first network in a forked
+    child; nothing it writes or reports may depend on that."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Spy on the fork helper; returns the handles it made."""
+        handles = []
+
+        def spy(fn, *args):
+            handles.append(_fork.fork_call(fn, *args))
+            return handles[-1]
+
+        monkeypatch.setattr(cli, "fork_call", spy)
+        return handles
+
+    def sweep(self, tmp_path, monkeypatch, capsys, cpus, **extra):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        for name in REPORTS:
+            (tmp_path / name).unlink(missing_ok=True)
+        rc = run_cli("sweep", base_overrides(tmp_path, **extra), "--plots")
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    def test_cpu_count_does_not_change_the_report(self, tmp_path, monkeypatch, capsys, forks):
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        one = self.sweep(tmp_path, monkeypatch, capsys, 1)
+        assert one[0] == 0 and forks == []
+        written = {name: (tmp_path / name).read_bytes() for name in REPORTS}
+        two = self.sweep(tmp_path, monkeypatch, capsys, 2)
+        assert two == one
+        assert len(forks) == 1
+        for name in REPORTS:
+            assert (tmp_path / name).read_bytes() == written[name], name
+
+    def test_divergence_is_the_same_error_line(self, tmp_path, monkeypatch, capsys, forks):
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        ov = {"train.learning_rate": "1e300", "train.epochs": "2"}
+        errs = []
+        for cpus in (1, 2):
+            rc, _, err = self.sweep(tmp_path, monkeypatch, capsys, cpus, **ov)
+            assert rc == 1
+            assert err.startswith("error: training diverged at epoch ") and err.count("\n") == 1
+            assert not any((tmp_path / name).exists() for name in REPORTS)
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("failing", [("lma_deepar", "deepar"), ("lma_deepar",), ("deepar",)])
+    def test_error_follows_model_order(self, tmp_path, monkeypatch, capsys, forks, failing):
+        """When several networks fail, the one listed first names the error,
+        whichever process trained it."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        real_train = cli.train
+
+        def train(panel, covariates, cfg, lma_cfg):
+            name = "deepar" if lma_cfg is None else "lma_deepar"
+            if name in failing:
+                raise TrainError(f"{name} failed")
+            return real_train(panel, covariates, cfg, lma_cfg)
+
+        monkeypatch.setattr(cli, "train", train)
+        for cpus in (1, 2):
+            assert self.sweep(tmp_path, monkeypatch, capsys, cpus) == (
+                1,
+                "",
+                f"error: {failing[0]} failed\n",
+            )
+        assert len(forks) == 1
+
+    def test_child_without_result_is_one_error_line(self, tmp_path, monkeypatch, capsys, forks):
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        parent = os.getpid()
+        real_train = cli.train
+
+        def train(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_train(*args)
+
+        monkeypatch.setattr(cli, "train", train)
+        rc, _, err = self.sweep(tmp_path, monkeypatch, capsys, 2)
+        assert rc == 1
+        assert err == "error: forked train ended (exit status 3) without a result\n"
+        assert not any((tmp_path / name).exists() for name in REPORTS)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0].pid, os.WNOHANG)
