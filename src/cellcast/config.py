@@ -76,6 +76,8 @@ class SweepConfig:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.naive_season < 1:
             raise ConfigError(f"naive_season must be >= 1, got {self.naive_season}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 SECTIONS = {

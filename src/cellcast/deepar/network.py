@@ -147,7 +147,7 @@ def forward_window(
     z_lags: np.ndarray,
     x_window: np.ndarray | None,
     params: NetworkParams,
-    scale: float,
+    scale: float | np.ndarray,
     sigma_floor: float = DEFAULT_SIGMA_FLOOR,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Deterministic pass over one window, starting from the all-zero state.
@@ -156,22 +156,32 @@ def forward_window(
     (L, K) covariate rows aligned with the steps, or None when the model runs
     without covariate channels.  Returns the per-step location and spread,
     each (L,), and the final hidden and cell rows, each (layers, hidden).
+
+    Windows of several series run together when z_lags is (..., L),
+    x_window (..., L, K) and scale holds one value per window (...): every
+    step advances all windows in one call, each as its own one-row product,
+    so each window's results are bit-identical to running it alone.  The
+    outputs gain the same leading axes: (..., L) and (layers, ..., hidden).
     """
     z_lags = np.asarray(z_lags, dtype=np.float64)
-    if z_lags.ndim != 1 or z_lags.size == 0:
-        raise ValueError("z_lags must be a nonempty 1-D sequence")
+    scale = np.asarray(scale, dtype=np.float64)
+    if z_lags.ndim == 0 or z_lags.shape[-1] == 0:
+        raise ValueError("z_lags must be a nonempty sequence per window")
     if not np.all(np.isfinite(z_lags)):
         raise ValueError("non-finite lagged targets")
-    if not (math.isfinite(scale) and scale > 0.0):
+    if scale.shape != z_lags.shape[:-1]:
+        raise ValueError(f"expected one scale per window {z_lags.shape[:-1]}, got {scale.shape}")
+    if not (np.all(np.isfinite(scale)) and np.all(scale > 0.0)):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     if sigma_floor <= 0.0:
         raise ValueError("sigma_floor must be positive")
-    length = z_lags.size
-    inputs = input_rows(z_lags / scale, x_window, params)
-    h = np.zeros((params.num_layers, 1, params.hidden_size))
+    inputs = input_rows(z_lags / scale[..., None], x_window, params)
+    h = np.zeros((params.num_layers, *z_lags.shape[:-1], 1, params.hidden_size))
     c = np.zeros_like(h)
-    mu = np.empty(length)
-    sigma = np.empty(length)
-    for t in range(length):
-        mu[t : t + 1], sigma[t : t + 1] = advance(inputs[t : t + 1], h, c, params, sigma_floor)
-    return mu, sigma, (h[:, 0], c[:, 0])
+    mu = np.empty(z_lags.shape)
+    sigma = np.empty(z_lags.shape)
+    for t in range(z_lags.shape[-1]):
+        mu[..., t : t + 1], sigma[..., t : t + 1] = advance(
+            inputs[..., t : t + 1, :], h, c, params, sigma_floor
+        )
+    return mu, sigma, (h[..., 0, :], c[..., 0, :])

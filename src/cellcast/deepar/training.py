@@ -94,6 +94,8 @@ class TrainConfig:
             raise TrainError(f"windows_per_series must be >= 1, got {self.windows_per_series}")
         if not self.clip_norm > 0:
             raise TrainError(f"clip_norm must be positive, got {self.clip_norm}")
+        if self.seed < 0:
+            raise TrainError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def window_len(self) -> int:

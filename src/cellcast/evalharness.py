@@ -23,6 +23,7 @@ import numpy as np
 from ._fields import hashed_json, to_json
 from .baselines import HoltWintersConfig, holt_winters, seasonal_naive
 from .deepar import Forecast, TrainedModel, point_forecast, sample_forecast
+from .deepar.forecasting import group_size
 from .lma import assemble_covariates
 from .panel import SeriesPanel, SplitSpec, split_panel, write_step_table
 
@@ -144,7 +145,8 @@ class TrainedModelForecaster:
 
         The horizon and channel checks and the covariate build run in this
         call, before the first series is sampled; the series are sampled as
-        the iterator is consumed.
+        the iterator is consumed, ``group_size(n_samples)`` series per
+        sampler call.  How the series are grouped never changes a byte.
         """
         cfg = self.model.train_config
         if horizon > cfg.horizon:
@@ -160,17 +162,21 @@ class TrainedModelForecaster:
                 f"panel produces {n_channels} covariate channels,"
                 f" model expects {self.model.n_channels}"
             )
-        return (
-            sample_forecast(
-                self.model,
-                train_panel.values[i],
-                cov.channels[i] if cov is not None else None,
-                horizon=horizon,
-                n_samples=self.n_samples,
-                seed=(*seed_ids, i),
-            )
-            for i in range(train_panel.n_series)
-        )
+        per_group = group_size(self.n_samples)
+
+        def sampled() -> Iterator[Forecast]:
+            for lo in range(0, train_panel.n_series, per_group):
+                rows = slice(lo, lo + per_group)
+                yield from sample_forecast(
+                    self.model,
+                    train_panel.values[rows],
+                    cov.channels[rows] if cov is not None else None,
+                    horizon=horizon,
+                    n_samples=self.n_samples,
+                    seed=[(*seed_ids, i) for i in range(train_panel.n_series)[rows]],
+                )
+
+        return sampled()
 
     def forecast_panel(
         self, train_panel: SeriesPanel, horizon: int, seed_ids: tuple[int, ...] = (0,)

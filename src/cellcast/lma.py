@@ -17,11 +17,13 @@ w, horizon p (w >= p >= 1, w <= n):
 so the head and horizon entries are constant runs and every window stays
 inside the observed range.
 
-``lma_window`` is the one statement of these rules.  ``lma_features`` takes
-every index's window from it, gathers the windows of each length as rows of
-one array and reduces each statistic over all rows in one call; every row is
-reduced exactly as its 1-D window alone would be, so the channels are
-bit-identical to computing ``feature_value`` index by index.
+``lma_window`` is the one statement of these rules.  Every series of a
+panel shares n, so ``build_covariates`` places the windows once, gathers the
+distinct windows of each length of a few series at a time as rows of one
+array and reduces each statistic over all rows in one call (``lma_features``
+is the one-series case); every row is reduced exactly as its 1-D window
+alone would be, so the channels are bit-identical to computing
+``feature_value`` index by index.
 """
 
 from __future__ import annotations
@@ -91,6 +93,11 @@ class LmaConfig:
 
 _REDUCERS = {"mean": np.mean, "std": np.std}
 
+# One reduction call gathers at most about this many window values
+# (256 KiB), a few series' worth: larger slices were no faster on the
+# default panel, and their peak memory grows with the panel's width.
+_GATHER_ELEMENTS = 1 << 15
+
 
 def feature_value(window: np.ndarray, kind: str) -> float:
     """Summary statistic of a window: arithmetic mean or population std."""
@@ -130,22 +137,37 @@ def lma_features(z: np.ndarray, cfg: LmaConfig) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise LmaError(f"series must be a nonempty 1-D sequence, got shape {z.shape}")
-    n = z.size
+    return _channels(z[None], cfg)[0]
+
+
+def _channels(values: np.ndarray, cfg: LmaConfig) -> np.ndarray:
+    """Feature channels (S, K, n + horizon) of S series rows of one length n.
+
+    Every series shares n, so the windows are placed once, each distinct
+    window is reduced once per series, and each length's windows of a
+    slice of series are reduced in one call.
+    """
+    n_series, n = values.shape
     if cfg.window_len > n:
         raise LmaError(f"window_len {cfg.window_len} exceeds series length {n}")
-    indices = range(1, n + cfg.horizon + 1)
-    placed = [lma_window(i, n, cfg.window_len, cfg.horizon) for i in indices]
-    starts = np.array([start for start, _ in placed])
-    lengths = np.array([length for _, length in placed])
-    out = np.empty((cfg.n_channels, n + cfg.horizon))
+    placed = [lma_window(i, n, cfg.window_len, cfg.horizon) for i in range(1, n + cfg.horizon + 1)]
+    windows = sorted(set(placed))
+    starts = np.array([start for start, _ in windows])
+    lengths = np.array([length for _, length in windows])
+    reduced = np.empty((n_series, cfg.n_channels, len(windows)))
     for length in sorted(set(lengths.tolist())):
-        at = lengths == length
-        # Fancy indexing copies the windows into contiguous rows, so each row
-        # reduces exactly as the 1-D window would.
-        rows = sliding_window_view(z, length)[starts[at] - 1]
-        for k, kind in enumerate(cfg.features):
-            out[k, at] = _REDUCERS[kind](rows, axis=1)
-    return out
+        at = np.flatnonzero(lengths == length)
+        per_call = max(1, _GATHER_ELEMENTS // (at.size * length))
+        for lo in range(0, n_series, per_call):
+            # Fancy indexing copies the windows into contiguous rows, so each
+            # row reduces exactly as the 1-D window would.
+            rows = sliding_window_view(values[lo : lo + per_call], length, axis=1)[:, starts[at] - 1]
+            for k, kind in enumerate(cfg.features):
+                reduced[lo : lo + per_call, k, at] = _REDUCERS[kind](rows, axis=-1)
+    column = {window: j for j, window in enumerate(windows)}
+    # take, unlike fancy indexing on the last axis, returns C order, which the
+    # standardization's reductions need to round as they do on stacked rows
+    return np.take(reduced, [column[window] for window in placed], axis=2)
 
 
 @dataclass(frozen=True)
@@ -200,7 +222,7 @@ def build_covariates(panel: SeriesPanel, cfg: LmaConfig) -> CovariatePanel:
     """
     cfg.validate()
     n = panel.n_steps
-    raw = np.stack([lma_features(panel.values[i], cfg) for i in range(panel.n_series)])
+    raw = _channels(panel.values, cfg)
     if not cfg.standardize:
         return CovariatePanel(panel.series_ids, cfg.features, cfg.horizon, raw)
     shift = raw[:, :, :n].mean(axis=2)

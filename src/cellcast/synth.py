@@ -63,6 +63,8 @@ class SynthConfig:
             raise SynthConfigError(f"n_total must be >= 2, got {self.n_total}")
         if self.period < 1:
             raise SynthConfigError(f"period must be >= 1, got {self.period}")
+        if self.seed < 0:
+            raise SynthConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("base_level", "burst_rate", "burst_scale", "noise_sigma"):
             if getattr(self, name) < 0:
                 raise SynthConfigError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -374,6 +374,23 @@ class TestErrors:
         assert err.startswith("error:") and message in err and err.count("\n") == 1
         assert trained == []
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("generate", "synth.seed"), ("train", "train.seed"), ("sweep", "train.seed"), ("sweep", "sweep.seed")],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch, command, key):
+        """A negative seed is one error line naming its section and key, before
+        any network is trained."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        assert run_cli(command, base_overrides(tmp_path, **{key: "-1"})) == 1
+        err = capsys.readouterr().err
+        section, field = key.split(".")
+        assert err == f"error: invalid config section {section}: {field} must be >= 0, got -1\n"
+        assert trained == []
+
     def test_baselines_only_sweep_ignores_train_horizon(self, tmp_path):
         """Steps past train.horizon are fine when no network is in the sweep."""
         assert run_cli("generate", base_overrides(tmp_path)) == 0

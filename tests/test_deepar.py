@@ -231,6 +231,8 @@ class TestCellMath:
             forward_window(z, np.zeros((3, 2)), params, 1.0)  # wrong length
         with pytest.raises(ValueError):
             forward_window(z, np.zeros((2, 2)), params, 0.0)  # bad scale
+        with pytest.raises(ValueError):
+            forward_window(np.stack([z, z]), np.zeros((2, 2, 2)), params, 1.0)  # one scale, two windows
         plain = make_params(1, 2, 1, seed=3)
         with pytest.raises(ValueError):
             forward_window(z, np.zeros((2, 1)), plain, 1.0)  # unexpected covariates
@@ -675,6 +677,15 @@ class TestForecasting:
             sample_forecast(plain, cond, seed=())
         with pytest.raises(ForecastError):
             sample_forecast(plain, cond, seed="abc")
+        group = np.stack([cond, cond])
+        with pytest.raises(ForecastError, match="one seed per series"):
+            sample_forecast(plain, group, seed=5)
+        with pytest.raises(ForecastError, match="one seed per series"):
+            sample_forecast(plain, group, seed=[(1,)])
+        with pytest.raises(ForecastError, match="covariates"):
+            sample_forecast(model, group, np.stack([cov, cov])[:, :, :8], seed=[1, 2])
+        with pytest.raises(ForecastError, match="conditioning"):
+            sample_forecast(plain, group[None], seed=[1])
 
     def test_wider_covariates_are_cropped(self):
         """Trailing covariate columns past conditioning + horizon are ignored."""

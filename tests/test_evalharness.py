@@ -17,17 +17,24 @@ from cellcast import (
     SeriesPanel,
     SplitSpec,
     TrainConfig,
+    TrainedModel,
     TrainedModelForecaster,
     assemble_covariates,
+    init_params,
     rmsle_per_series,
     rmsle_pooled,
+    sample_forecast,
     split_panel,
     stability_std,
+    substream,
     sweep,
     train,
     write_report_csvs,
     write_svg_plots,
 )
+from cellcast import evalharness
+from cellcast.deepar import forecasting
+from cellcast.deepar.forecasting import group_size
 from cellcast.evalharness import write_provenance
 
 
@@ -333,6 +340,78 @@ class TestTrainedModelForecaster:
         fc = TrainedModelForecaster(bad, n_samples=4)
         with pytest.raises(EvalError, match="channels"):
             fc.forecast_panel(train_panel, 5, (0,))
+
+    def wide_model(self):
+        """An untrained network of the default width and depth, so each row's
+        products round as they do in a real forecast, on a panel wider than
+        the largest group: every sample count below puts a group boundary
+        inside it."""
+        cfg = TrainConfig(context_length=7, horizon=5, epochs=0, hidden_size=40, num_layers=2)
+        lma_cfg = LmaConfig(window_len=7, horizon=5)
+        model = TrainedModel(init_params(3, 40, 2, substream(5)), cfg, lma_cfg, ())
+        train_panel, _ = split_panel(weekly_panel(n_series=group_size(1) + 2), SplitSpec(36, 40))
+        return model, train_panel
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 8, 9, 100])
+    def test_grouped_forecasts_equal_per_series_sampling(self, n_samples):
+        """Sampling the series in groups gives each series the bytes it gets
+        sampled alone from stream (*seed, i)."""
+        model, train_panel = self.wide_model()
+        assert group_size(n_samples) < train_panel.n_series
+        forecasts = list(TrainedModelForecaster(model, n_samples).forecasts(train_panel, 5, (3,)))
+        cov = assemble_covariates(train_panel, model.lma_config, 5)
+        assert len(forecasts) == train_panel.n_series
+        for i, fc in enumerate(forecasts):
+            alone = sample_forecast(
+                model, train_panel.values[i], cov.channels[i], horizon=5, n_samples=n_samples, seed=(3, i)
+            )
+            assert fc.samples.tobytes() == alone.samples.tobytes(), i
+            assert (fc.scale, fc.seed) == (alone.scale, (3, i))
+
+    def test_series_prefix_reproduces_its_rows(self):
+        """Forecasting the first two series alone reproduces the panel's first two rows."""
+        model, train_panel = self.wide_model()
+        prefix = SeriesPanel(train_panel.series_ids[:2], train_panel.start_date, train_panel.values[:2])
+        for n_samples in (2, 100):
+            fc = TrainedModelForecaster(model, n_samples)
+            full = fc.forecast_panel(train_panel, 5, (3,))
+            assert fc.forecast_panel(prefix, 5, (3,)).tobytes() == full[:2].tobytes()
+
+    def test_more_samples_extend_each_series_matrix(self):
+        """On the panel path too, the 8-sample matrix of every series is a
+        prefix of its 100- and 640-sample matrices (six series: a group
+        boundary at 100 samples)."""
+        model, wide = self.wide_model()
+        train_panel = SeriesPanel(wide.series_ids[:6], wide.start_date, wide.values[:6])
+        small = list(TrainedModelForecaster(model, 8).forecasts(train_panel, 5, (3,)))
+        for n_samples in (100, 640):
+            big = TrainedModelForecaster(model, n_samples).forecasts(train_panel, 5, (3,))
+            for i, (a, b) in enumerate(zip(small, big, strict=True)):
+                assert b.samples[:8].tobytes() == a.samples.tobytes(), (n_samples, i)
+
+    def test_one_sampler_call_per_group(self, monkeypatch):
+        """50 series at 2 samples are sampled in two groups: one sample_forecast
+        call and one encoder pass per group, not one per series."""
+        calls = {"sample_forecast": 0, "forward_window": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        counting(evalharness, "sample_forecast")
+        counting(forecasting, "forward_window")
+        model, _ = self.wide_model()
+        train_panel, _ = split_panel(weekly_panel(n_series=50), SplitSpec(36, 40))
+        point = TrainedModelForecaster(model, 2).forecast_panel(train_panel, 5, (3,))
+        assert point.shape == (50, 5)
+        groups = -(-50 // group_size(2))
+        assert groups == 2
+        assert calls == {"sample_forecast": groups, "forward_window": groups}
 
     def test_describe_carries_configs(self):
         model, _ = self.make_model()

@@ -185,6 +185,28 @@ def small_panel(rng, n_series=3, n_steps=40):
 
 
 class TestCovariatePanel:
+    @pytest.mark.parametrize(
+        "n_series, n, w, p", [(3, 9, 9, 1), (3, 9, 9, 9), (4, 40, 7, 1), (4, 40, 40, 3), (75, 181, 62, 31)]
+    )
+    def test_panel_equals_stacked_per_series_features(self, n_series, n, w, p):
+        """Placing the windows once per panel and reducing many series per call
+        gives the bytes of stacking each series' lma_features, raw and
+        standardized, including w == n, p == 1 and a panel wider than one call."""
+        rng = np.random.default_rng(n_series * 1000 + n)
+        panel = small_panel(rng, n_series, n)
+        raw = LmaConfig(window_len=w, horizon=p, standardize=False)
+        # np.array lays the rows out in C order whatever each row's strides,
+        # as the per-series path did; the standardizing reductions round by
+        # memory order
+        stacked = np.array([lma_features(row, raw) for row in panel.values])
+        assert build_covariates(panel, raw).channels.tobytes() == stacked.tobytes()
+        shift = stacked[:, :, :n].mean(axis=2)
+        scale = stacked[:, :, :n].std(axis=2)
+        scale = np.where(scale == 0.0, 1.0, scale)
+        expected = (stacked - shift[:, :, None]) / scale[:, :, None]
+        cov = build_covariates(panel, LmaConfig(window_len=w, horizon=p))
+        assert cov.channels.tobytes() == expected.tobytes()
+
     def test_standardization_over_training_range(self):
         """Standardized channels have zero mean and unit population std over the first n steps."""
         rng = np.random.default_rng(9)
