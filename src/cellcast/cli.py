@@ -34,7 +34,7 @@ from .evalharness import (
     write_svg_plots,
 )
 from .lma import assemble_covariates, export_covariates
-from .panel import load_panel, read_long, split_panel, write_long, write_panel, write_step_table
+from .panel import SeriesPanel, load_panel, read_long, split_panel, write_long, write_panel, write_step_table
 from .synth import generate_panel
 
 __all__ = ["main", "run_command"]
@@ -91,15 +91,15 @@ def _write_sidecar(artifact_path: str, command: str, cfg: RunConfig) -> None:
         fh.write(hashed_json(payload)[1])
 
 
-def _train_inputs(cfg: RunConfig, with_lma: bool):
-    panel = load_panel(cfg.path("panel"))
-    train_panel, _ = split_panel(panel, cfg.section("split"))
+def _train_args(cfg: RunConfig, train_panel: SeriesPanel, with_lma: bool) -> tuple:
+    """train's arguments for one network: the panel, the covariates that the
+    train and lma sections build from it, and those sections."""
     train_cfg = cfg.section("train")
     lma_cfg = cfg.section("lma") if with_lma else None
     covariates = assemble_covariates(
         train_panel, lma_cfg, train_cfg.horizon, day_of_week=train_cfg.day_of_week
     )
-    return panel, train_panel, train_cfg, lma_cfg, covariates
+    return train_panel, covariates, train_cfg, lma_cfg
 
 
 def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -112,7 +112,8 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_covariates(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _, train_panel, train_cfg, lma_cfg, covariates = _train_inputs(cfg, with_lma=True)
+    train_panel, _ = split_panel(load_panel(cfg.path("panel")), cfg.section("split"))
+    _, covariates, _, _ = _train_args(cfg, train_panel, with_lma=True)
     out = cfg.path("covariates")
     export_covariates(covariates, out)
     _write_sidecar(out, "covariates", cfg)
@@ -125,8 +126,8 @@ def cmd_covariates(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     with_lma = not args.no_lma
-    _, train_panel, train_cfg, lma_cfg, covariates = _train_inputs(cfg, with_lma)
-    model = train(train_panel, covariates, train_cfg, lma_cfg)
+    train_panel, _ = split_panel(load_panel(cfg.path("panel")), cfg.section("split"))
+    model = train(*_train_args(cfg, train_panel, with_lma))
     out = cfg.path("model")
     save_model(model, out)
     _write_sidecar(out, "train", cfg)
@@ -134,7 +135,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     curve = ""
     if model.epoch_nll:
         curve = f", NLL {model.epoch_nll[0]:.4f} -> {model.epoch_nll[-1]:.4f}"
-    print(f"wrote {out} ({label} moving-average channels, {train_cfg.epochs} epochs{curve})")
+    print(f"wrote {out} ({label} moving-average channels, {model.train_config.epochs} epochs{curve})")
     return 0
 
 
@@ -223,7 +224,7 @@ def _train_networks(jobs: dict[str, tuple]) -> dict[str, TrainedModel]:
     with fork_call(train, *jobs[names[0]]) as first:
         try:
             rest = {name: train(*jobs[name]) for name in names[1:]}
-        except ValueError:
+        except (ValueError, MemoryError):
             first.result()  # the first job's error wins
             raise
         return {names[0]: first.result(), **rest}
@@ -247,13 +248,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"sweep.steps: step {sweep_cfg.steps[-1]} exceeds train.horizon"
             f" {train_cfg.horizon}, the longest forecast the networks learn"
         )
-    jobs = {}
-    for name in networks:
-        lma_cfg = cfg.section("lma") if name == "lma_deepar" else None
-        covariates = assemble_covariates(
-            train_panel, lma_cfg, train_cfg.horizon, day_of_week=train_cfg.day_of_week
-        )
-        jobs[name] = (train_panel, covariates, train_cfg, lma_cfg)
+    jobs = {name: _train_args(cfg, train_panel, name == "lma_deepar") for name in networks}
     trained = _train_networks(jobs)
     models = {}
     for name in sweep_cfg.models:
@@ -307,8 +302,9 @@ def run_command(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation that failed; Python's is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .._rng import substream
-from .network import advance, forward_window, series_scale
+from .network import advance, cut_windows, forward_window
 from .training import TrainedModel
 
 __all__ = [
@@ -184,11 +184,9 @@ def _sample_group(
     if np.any(conditioning < 0):
         raise ForecastError("negative conditioning values")
     n_channels = model.n_channels
-    if n_channels == 0:
-        if covariates is not None:
-            raise ForecastError("model takes no covariates but covariates were given")
-        x_enc = None
-    else:
+    if n_channels == 0 and covariates is not None:
+        raise ForecastError("model takes no covariates but covariates were given")
+    if n_channels:
         if covariates is None:
             raise ForecastError(f"model expects {n_channels} covariate channels, got none")
         covariates = np.asarray(covariates, dtype=np.float64)
@@ -204,16 +202,13 @@ def _sample_group(
             )
         if not np.all(np.isfinite(covariates)):
             raise ForecastError("non-finite covariate values")
-        x_enc = covariates[:, :, m - context : m].transpose(0, 2, 1)
 
-    targets = conditioning[:, m - context :]
-    scales = np.array([series_scale(row) for row in targets])
-    lags = np.empty((n_series, context))
-    lags[:, 1:] = targets[:, :-1]
-    lags[:, 0] = conditioning[:, m - context - 1] if m > context else 0.0
+    z, x_enc, scales = cut_windows(
+        conditioning, covariates, np.arange(n_series), np.full(n_series, m - context), context, context
+    )
     # The encoder advances every series in one call per step, each as its own
     # one-row slice, so each keeps the (1, D) product it has alone.
-    _, _, (enc_h, enc_c) = forward_window(lags, x_enc, model.params, scales, cfg.sigma_floor)
+    _, _, (enc_h, enc_c) = forward_window(z[:, :-1], x_enc, model.params, scales, cfg.sigma_floor)
 
     n_blocks = -(-n_samples // BLOCK_ROWS)
     eps = np.zeros((n_series, n_blocks * BLOCK_ROWS, horizon))
@@ -230,7 +225,7 @@ def _sample_group(
     h = np.broadcast_to(enc_h[:, :, None, None, :], state_shape).copy()
     c = np.broadcast_to(enc_c[:, :, None, None, :], state_shape).copy()
     x = np.empty((n_series, n_blocks, BLOCK_ROWS, 1 + n_channels))
-    x[..., 0] = (conditioning[:, -1] / scales)[:, None, None]
+    x[..., 0] = (z[:, -1] / scales)[:, None, None]
     for t in range(horizon):
         if n_channels:
             x[..., 1:] = covariates[:, None, None, :, m + t]

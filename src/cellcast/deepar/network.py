@@ -5,7 +5,9 @@ scale together with that step's covariate column, runs it through the stacked
 recurrent layers, and maps the top hidden vector to a location and a positive
 spread.  ``lstm_cell`` is the one gated update: training, the conditioning
 pass and the sampler all run every layer through it, on rows of any leading
-batch shape.  Everything here is deterministic; sampling lives in forecasting.
+batch shape; ``cut_windows`` turns panel windows into its inputs (seed lag,
+channels, scale) for training and the forecast encoder alike.  Everything
+here is deterministic; sampling lives in forecasting.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .params import LayerParams, NetworkParams
 
 __all__ = [
     "advance",
+    "cut_windows",
     "forward_window",
     "gaussian_nll",
     "input_rows",
@@ -88,16 +91,41 @@ def advance(
     return raw[..., 0], softplus(raw[..., 1]) + sigma_floor
 
 
-def series_scale(conditioning: np.ndarray) -> float:
-    """Per-series scale applied to model inputs: 1 + mean of the conditioning range."""
+def series_scale(conditioning: np.ndarray) -> np.float64 | np.ndarray:
+    """Scale applied to model inputs, 1 + mean of the conditioning range:
+    one per range of (..., L), a scalar for one 1-D range."""
     values = np.asarray(conditioning, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("conditioning range must be a nonempty 1-D sequence")
+    if values.ndim == 0 or values.shape[-1] == 0:
+        raise ValueError("conditioning range must be a nonempty sequence")
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite values in conditioning range")
     if np.any(values < 0):
         raise ValueError("negative values in conditioning range")
-    return 1.0 + float(np.mean(values))
+    return 1.0 + np.mean(values, axis=-1)
+
+
+def cut_windows(
+    values: np.ndarray,
+    channels: np.ndarray | None,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    length: int,
+    context: int,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Inputs of B windows of ``length`` steps: window b is row rows[b] of
+    values (S, N) from step starts[b] on (0-based).
+
+    Returns z (B, length + 1), the value before the window (0.0 at a
+    series' start) then the window's; x (B, length, K), the channels
+    (S, K, >= N) at the window's steps, or None without channels; and
+    scales (B,), series_scale over each window's first ``context`` steps.
+    """
+    rows = np.asarray(rows)[:, None]
+    steps = np.asarray(starts)[:, None] + np.arange(-1, length)
+    z = values[rows, np.maximum(steps, 0)]
+    z[steps[:, 0] < 0, 0] = 0.0
+    x = None if channels is None else channels[rows, :, steps[:, 1:]]
+    return z, x, series_scale(z[:, 1 : context + 1])
 
 
 def gaussian_nll(

@@ -28,9 +28,10 @@ import numpy as np
 
 from .._fields import check_field_types
 from .._rng import substream
-from ..lma import CovariatePanel, LmaConfig
+from ..lma import CovariatePanel, LmaConfig, assemble_covariates
 from ..panel import SeriesPanel
 from .grad import batch_loss_and_grad
+from .network import cut_windows
 from .params import NetworkParams, init_params
 
 __all__ = [
@@ -120,22 +121,14 @@ class TrainedModel:
         return self.params.input_size - 1
 
 
-def _check_covariates(
-    panel: SeriesPanel, covariates: CovariatePanel | None, cfg: TrainConfig
-) -> int:
-    if covariates is None:
-        return 0
-    if covariates.series_ids != panel.series_ids:
-        raise TrainError("covariate series ids do not match the panel")
-    if covariates.horizon != cfg.horizon:
-        raise TrainError(
-            f"covariates built for horizon {covariates.horizon}, config wants {cfg.horizon}"
-        )
-    if covariates.n_train_steps != panel.n_steps:
-        raise TrainError(
-            f"covariates cover {covariates.n_train_steps} steps, panel has {panel.n_steps}"
-        )
-    return covariates.n_channels
+def _covariate_key(cov: CovariatePanel | None) -> tuple | None:
+    if cov is None:
+        return None
+    return cov.series_ids, cov.kinds, cov.horizon, cov.channels.shape, cov.channels.tobytes()
+
+
+def _describe(cov: CovariatePanel | None) -> str:
+    return "none" if cov is None else f"[{', '.join(cov.kinds)}] of shape {cov.channels.shape}"
 
 
 def _clip_gradient(g: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -158,22 +151,27 @@ def train(
 ) -> TrainedModel:
     """Fit the network on every series of the panel.
 
-    covariates must align with the panel (same series, same horizon) or be
-    None for a model that runs on the lagged target alone.  lma_config is
-    carried into the result so a reloaded model can rebuild its channels.
+    covariates must be what the model's configs build from this panel,
+    ``assemble_covariates(panel, lma_config, cfg.horizon,
+    day_of_week=cfg.day_of_week)``, which is what a forecast from the model
+    rebuilds; anything else is a TrainError.  lma_config is carried into
+    the result so a reloaded model can rebuild its channels.
     """
     cfg.validate()
-    if lma_config is not None:
-        lma_config.validate()
-        if covariates is None:
-            raise TrainError("lma_config given but no covariates")
     window_len = cfg.window_len
     n_steps = panel.n_steps
     if n_steps < window_len:
         raise TrainError(
             f"series length {n_steps} is shorter than one training window ({window_len})"
         )
-    n_channels = _check_covariates(panel, covariates, cfg)
+    expected = assemble_covariates(panel, lma_config, cfg.horizon, day_of_week=cfg.day_of_week)
+    if _covariate_key(covariates) != _covariate_key(expected):
+        raise TrainError(
+            f"covariates differ from the ones the model's configs build from this panel"
+            f" (given {_describe(covariates)}, built {_describe(expected)}): pass"
+            f" assemble_covariates(panel, lma_config, cfg.horizon, day_of_week=cfg.day_of_week)"
+        )
+    n_channels = 0 if covariates is None else covariates.n_channels
     rng_init = substream(cfg.seed, _INIT_STREAM)
     params = init_params(1 + n_channels, cfg.hidden_size, cfg.num_layers, rng_init)
     if cfg.epochs == 0:
@@ -181,10 +179,8 @@ def train(
     rng_offsets = substream(cfg.seed, _OFFSET_STREAM)
     rng_shuffle = substream(cfg.seed, _SHUFFLE_STREAM)
 
-    values = panel.values
-    n_series = panel.n_series
     wps = cfg.windows_per_series
-    n_windows = n_series * wps
+    n_windows = panel.n_series * wps
     channels = covariates.channels if covariates is not None else None
 
     total_steps = cfg.epochs * -(-n_windows // cfg.batch_size)
@@ -199,22 +195,9 @@ def train(
         loss_sum = 0.0
         for batch_no, lo in enumerate(range(0, n_windows, cfg.batch_size), start=1):
             batch = order[lo : lo + cfg.batch_size]
-            n_batch = batch.size
-            z_windows = np.empty((n_batch, window_len + 1))
-            scales = np.empty(n_batch)
-            x_windows = (
-                np.empty((n_batch, window_len, n_channels)) if n_channels else None
+            z_windows, x_windows, scales = cut_windows(
+                panel.values, channels, batch // wps, offsets[batch], window_len, cfg.context_length
             )
-            for row, j in enumerate(batch):
-                sid = j // wps
-                start = int(offsets[j])
-                z_windows[row, 0] = values[sid, start - 1] if start > 0 else 0.0
-                z_windows[row, 1:] = values[sid, start : start + window_len]
-                scales[row] = 1.0 + float(
-                    np.mean(values[sid, start : start + cfg.context_length])
-                )
-                if x_windows is not None:
-                    x_windows[row] = channels[sid, :, start : start + window_len].T
             par = params.from_vector(theta)
             # The inputs are valid, so a ValueError here is a non-finite loss
             # or gradient: the run diverged.  It is reported before the update
@@ -228,7 +211,7 @@ def train(
                     raise TrainError(
                         f"training diverged at epoch {epoch}, batch {batch_no}: {exc}"
                     ) from exc
-            loss_sum += loss * n_batch
+            loss_sum += loss * batch.size
             g = _clip_gradient(grads.to_vector(), cfg.clip_norm)
             lr = step_size(cfg.learning_rate, step, total_steps)
             step += 1

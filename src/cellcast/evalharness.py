@@ -129,8 +129,8 @@ class TrainedModelForecaster:
     """Adapter running a trained network over every series of a panel.
 
     Covariate channels are rebuilt from the training panel with the model's
-    own configuration, so a reloaded model forecasts exactly like the
-    original.  Series i draws its trajectories from stream (*seed_ids, i), so
+    own configuration, the call ``train`` checks its covariates against, so
+    a reloaded model forecasts exactly like the original.  Series i draws its trajectories from stream (*seed_ids, i), so
     each series' forecast is independent of the others.
     """
 

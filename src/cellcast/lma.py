@@ -208,10 +208,6 @@ class CovariatePanel:
     def n_channels(self) -> int:
         return self.channels.shape[1]
 
-    @property
-    def n_train_steps(self) -> int:
-        return self.channels.shape[2] - self.horizon
-
 
 def build_covariates(panel: SeriesPanel, cfg: LmaConfig) -> CovariatePanel:
     """LMA channels for every series of a panel.
@@ -254,6 +250,7 @@ def assemble_covariates(
     kinds: list[str] = []
     shift = scale = None
     if lma_cfg is not None:
+        lma_cfg.validate()
         if lma_cfg.horizon != horizon:
             raise LmaError(f"lma horizon {lma_cfg.horizon} != requested horizon {horizon}")
         cov = build_covariates(panel, lma_cfg)

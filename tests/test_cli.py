@@ -344,6 +344,34 @@ class TestErrors:
         assert not (tmp_path / "model.bin").exists()
 
     @pytest.mark.parametrize(
+        "command, name, error, message",
+        [
+            (
+                "generate",
+                "generate_panel",
+                MemoryError("Unable to allocate 7.28 TiB for an array"),
+                "error: Unable to allocate 7.28 TiB for an array\n",
+            ),
+            ("train", "train", MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["numpy", "python"],
+    )
+    def test_failed_allocation_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, command, name, error, message
+    ):
+        """A MemoryError (numpy's names the allocation, Python's is empty) is
+        one error line and exit code 1, not a traceback."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli, name, fail)
+        assert run_cli(command, base_overrides(tmp_path)) == 1
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize(
         "steps, extra, message",
         [
             pytest.param(steps, extra, message, id=f"{steps}-{message}")
@@ -585,6 +613,31 @@ class TestTwoProcessSweep:
             name = "deepar" if lma_cfg is None else "lma_deepar"
             if name in failing:
                 raise TrainError(f"{name} failed")
+            return real_train(panel, covariates, cfg, lma_cfg)
+
+        monkeypatch.setattr(cli, "train", train)
+        for cpus in (1, 2):
+            assert self.sweep(tmp_path, monkeypatch, capsys, cpus) == (
+                1,
+                "",
+                f"error: {failing[0]} failed\n",
+            )
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("failing", [("lma_deepar", "deepar"), ("deepar",)])
+    def test_failed_allocation_follows_model_order(
+        self, tmp_path, monkeypatch, capsys, forks, failing
+    ):
+        """A MemoryError in training follows the same rule as any other
+        training error: the network listed first names the error line."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        real_train = cli.train
+
+        def train(panel, covariates, cfg, lma_cfg):
+            name = "deepar" if lma_cfg is None else "lma_deepar"
+            if name in failing:
+                raise MemoryError(f"{name} failed")
             return real_train(panel, covariates, cfg, lma_cfg)
 
         monkeypatch.setattr(cli, "train", train)

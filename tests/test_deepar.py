@@ -40,6 +40,7 @@ from cellcast.deepar import (
     sigmoid,
 )
 from cellcast.deepar import training
+from cellcast.deepar.network import cut_windows
 from cellcast.deepar.training import step_size
 from cellcast.panel import SeriesPanel
 import datetime as dt
@@ -187,7 +188,7 @@ class TestCellMath:
             assert h.shape == c.shape == (layers, hidden)
 
     def test_series_scale(self):
-        """scale = 1 + mean of the conditioning range."""
+        """scale = 1 + mean of the conditioning range, one per row."""
         assert series_scale(np.array([1.0, 2.0, 3.0])) == 3.0
         assert series_scale(np.array([0.0])) == 1.0
         with pytest.raises(ValueError):
@@ -196,6 +197,47 @@ class TestCellMath:
             series_scale(np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             series_scale(np.array([1.0, np.nan]))
+        # a (B, L) range gives one scale per row, each the bytes of the row's own
+        rows = np.random.default_rng(1).uniform(0.0, 50.0, (5, 13))
+        scales = series_scale(rows)
+        assert scales.shape == (5,)
+        assert scales.tobytes() == np.array([series_scale(r) for r in rows]).tobytes()
+
+    def test_cut_windows_matches_per_row_loop(self):
+        """cut_windows gives the bytes of the per-row loop training used to cut
+        its batches with, for windows at offset 0 and at the last step, with
+        and without channels."""
+        rng = np.random.default_rng(21)
+        n_series, n_steps, n_channels, context, horizon = 4, 30, 3, 7, 3
+        length = context + horizon
+        values = rng.uniform(0.0, 80.0, (n_series, n_steps))
+        channels = rng.normal(0.0, 1.0, (n_series, n_channels, n_steps + horizon))
+        rows = np.array([2, 0, 3, 1, 2, 0])
+        starts = np.array([0, n_steps - length, 5, 0, 11, 19])
+
+        def per_row_loop(channels):
+            z_windows = np.empty((rows.size, length + 1))
+            scales = np.empty(rows.size)
+            x_windows = np.empty((rows.size, length, n_channels)) if channels is not None else None
+            for row, (sid, start) in enumerate(zip(rows, starts)):
+                z_windows[row, 0] = values[sid, start - 1] if start > 0 else 0.0
+                z_windows[row, 1:] = values[sid, start : start + length]
+                scales[row] = 1.0 + float(np.mean(values[sid, start : start + context]))
+                if x_windows is not None:
+                    x_windows[row] = channels[sid, :, start : start + length].T
+            return z_windows, x_windows, scales
+
+        for ch in (channels, None):
+            z, x, scales = cut_windows(values, ch, rows, starts, length, context)
+            z_ref, x_ref, scales_ref = per_row_loop(ch)
+            assert z.tobytes() == z_ref.tobytes()
+            assert scales.tobytes() == scales_ref.tobytes()
+            if ch is None:
+                assert x is None and x_ref is None
+            else:
+                assert x.shape == x_ref.shape and x.tobytes() == x_ref.tobytes()
+        assert z[0, 0] == z[3, 0] == 0.0
+        assert z[1, -1] == values[0, -1]
 
     def test_gaussian_nll_pinned(self):
         """At the mode with unit sigma the NLL is 0.5*log(2*pi); off-mode adds the squared residual."""
@@ -497,6 +539,37 @@ class TestTraining:
         with pytest.raises(TrainError):
             train(panel, wrong_h, cfg)
 
+    @pytest.mark.parametrize("case", ["window_len", "day_of_week", "no_lma_config"])
+    def test_covariates_must_be_the_ones_the_configs_build(self, monkeypatch, case):
+        """train takes only the covariates its configs build, the ones a forecast
+        from the model rebuilds; any other set is a TrainError before the
+        first batch."""
+        from cellcast import LmaConfig, assemble_covariates
+
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return batch_loss_and_grad(*args)
+
+        monkeypatch.setattr(training, "batch_loss_and_grad", spy)
+        panel = sinusoid_panel()
+        cfg = self.small_cfg(epochs=1)
+        lma = LmaConfig(window_len=7, horizon=3)
+        cov, lma_arg = {
+            # channels smoothed over another window than lma_config's
+            "window_len": (assemble_covariates(panel, LmaConfig(window_len=8, horizon=3), 3), lma),
+            # a calendar channel the train config does not ask for
+            "day_of_week": (assemble_covariates(panel, lma, 3, day_of_week=True), lma),
+            # LMA channels without the lma_config that would rebuild them
+            "no_lma_config": (assemble_covariates(panel, lma, 3), None),
+        }[case]
+        with pytest.raises(TrainError, match="covariates differ"):
+            train(panel, cov, cfg, lma_arg)
+        assert calls == []
+        train(panel, assemble_covariates(panel, lma, 3), cfg, lma)
+        assert calls
+
 
 class TestForecasting:
     def conditioning(self, rng, m=20):
@@ -618,23 +691,30 @@ class TestForecasting:
         model = TrainedModel(
             model.params.with_arrays(arrays), model.train_config, None, ()
         )
-        m = 12
-        cond = rng.uniform(5.0, 50.0, m)
-        cov = rng.normal(0.0, 1.0, (k, m + 4))
-        f = sample_forecast(model, cond, cov, n_samples=3, seed=6)
-
         ctx = model.train_config.context_length
-        scale = series_scale(cond[m - ctx :])
-        lag_data = [cond[m - ctx - 1]] + list(cond[m - ctx : m - 1])
-        expected = []
-        for t in range(4):
-            lags = np.array(lag_data + [cond[-1]] + [mu * scale for mu in expected[:t]])
-            x_rows = cov[:, m - ctx : m + t + 1].T
-            mu, _, _ = forward_window(lags, x_rows, model.params, scale)
-            expected.append(mu[-1])
-        expected = np.maximum(np.array(expected) * scale, 0.0)
-        for row in f.samples:
-            np.testing.assert_allclose(row, expected, atol=1e-3 * scale)
+        # m == ctx: the encoder window starts the series, so its seed lag is 0
+        for m in (12, ctx):
+            cond = rng.uniform(5.0, 50.0, m)
+            cov = rng.normal(0.0, 1.0, (k, m + 4))
+            f = sample_forecast(model, cond, cov, n_samples=3, seed=6)
+
+            scale = series_scale(cond[m - ctx :])
+            lag_data = [cond[m - ctx - 1] if m > ctx else 0.0] + list(cond[m - ctx : m - 1])
+            expected = []
+            for t in range(4):
+                lags = np.array(lag_data + [cond[-1]] + [mu * scale for mu in expected[:t]])
+                x_rows = cov[:, m - ctx : m + t + 1].T
+                mu, _, _ = forward_window(lags, x_rows, model.params, scale)
+                expected.append(mu[-1])
+            expected = np.maximum(np.array(expected) * scale, 0.0)
+            for row in f.samples:
+                np.testing.assert_allclose(row, expected, atol=1e-3 * scale)
+            if m == ctx:
+                # the step before the series counts as an observed zero
+                padded = sample_forecast(
+                    model, np.r_[0.0, cond], np.c_[np.zeros(k), cov], n_samples=3, seed=6
+                )
+                assert padded.samples.tobytes() == f.samples.tobytes()
 
     def test_point_forecast_statistics(self):
         """median/mean reduce the sample matrix columnwise; unknown names are rejected."""

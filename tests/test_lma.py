@@ -215,7 +215,6 @@ class TestCovariatePanel:
         cov = build_covariates(panel, cfg)
         n = panel.n_steps
         assert cov.channels.shape == (3, 2, n + 5)
-        assert cov.n_train_steps == n
         train = cov.channels[:, :, :n]
         np.testing.assert_allclose(train.mean(axis=2), 0.0, atol=1e-12)
         np.testing.assert_allclose(train.std(axis=2), 1.0, rtol=1e-12)

@@ -1,5 +1,6 @@
 """Checks on what lives next to the package: the benchmark's hooks, the
-README's examples and the module that owns the CSV format.
+README's examples, the module that owns the CSV format and the byte-identity
+script.
 
 perfbench traces cellcast by wrapping module attributes by name, so a
 renamed or bypassed function silently drops its metrics; the smoke run
@@ -67,3 +68,39 @@ def test_only_panel_imports_csv():
                 if any(m == "csv" or m.startswith("csv.") for m in modules):
                     offenders.append(os.path.relpath(path, ROOT))
     assert offenders == []
+
+
+def test_artifact_digests_script_names_every_artifact(tmp_path):
+    """scripts/artifact_digests.py runs the whole pipeline and prints one
+    sha256 line per artifact and sidecar, 21 in all, sorted by name."""
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "artifact_digests.py"), str(out)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    artifacts = [
+        "covariates.csv",
+        "forecast_point.csv",
+        "forecast_samples.csv",
+        "metrics.csv",
+        "model.bin",
+        "model_dow.bin",
+        "model_nolma.bin",
+        "panel.csv",
+    ]
+    reports = ["pooled.csv", "pooled.svg", "provenance.json", "stability.csv", "stability.svg"]
+    expected = sorted(
+        artifacts
+        + [f"{name}.provenance.json" for name in artifacts]
+        + [f"report_{name}" for name in reports]
+    )
+    assert len(expected) == 21
+    assert [line.split("  ")[1] for line in lines] == expected
+    for line in lines:
+        digest, name = line.split("  ")
+        assert re.fullmatch("[0-9a-f]{64}", digest), line
+        assert (out / name).is_file()
