@@ -53,7 +53,7 @@ class HoltWintersConfig:
     beta: float = 0.05
     gamma: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self, BaselineError)
         if self.season < 1:
             raise BaselineError(f"season must be >= 1, got {self.season}")
@@ -96,7 +96,6 @@ def _smoothing_pass(
 
 def holt_winters(train: np.ndarray, cfg: HoltWintersConfig, horizon: int) -> np.ndarray:
     """Additive Holt-Winters forecast for the steps after the training range."""
-    cfg.validate()
     if horizon < 1:
         raise BaselineError(f"horizon must be >= 1, got {horizon}")
     values = _check_train(train, 2 * cfg.season, "holt_winters")

@@ -1,4 +1,4 @@
-"""Run configuration: one validated ledger shared by every subcommand.
+"""Run configuration: one checked ledger shared by every subcommand.
 
 The config file is JSON with one object per section (synth, lma, train,
 holt_winters, sweep, split, paths).  Every section but split and paths is a
@@ -7,10 +7,11 @@ dataclasses' defaults, so each default is written once.  Missing sections and
 keys fall back to defaults that reproduce the desk-scale experiment; unknown
 sections or keys are errors so typos cannot silently change a run.  Values
 can be overridden from the command line with ``--set section.key=value``.
-``RunConfig.section(name)`` builds one section's dataclass from the JSON
-values and validates it, types included: a value must match its field's
-annotation (see ``_fields``), so 2.5 or true is not an integer and the
-string "False" is not a boolean.
+Building a ``RunConfig`` builds each section's dataclass once from the JSON
+values, and each dataclass checks its values when it is built, types
+included: a value must match its field's annotation (see ``_fields``), so
+2.5 or true is not an integer and the string "False" is not a boolean.
+``RunConfig.section(name)`` returns the built section.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._fields import check_field_types, from_json, to_json
 from .baselines import HoltWintersConfig
@@ -52,7 +53,7 @@ class SweepConfig:
     models: tuple[str, ...] = KNOWN_MODELS
     naive_season: int = 7
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self, ConfigError)
         if not self.steps:
             raise ConfigError("steps must be a nonempty list of integers")
@@ -135,9 +136,29 @@ def _apply_override(data: dict, spec: str) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved configuration; ``section`` builds the per-module config objects."""
+    """Resolved configuration, checked when built; ``section`` returns the
+    per-module config objects built from it."""
 
     data: dict
+    sections: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sections = {}
+        for name in (*SECTIONS, "split"):
+            cls = SplitSpec if name == "split" else SECTIONS[name]
+            try:
+                sections[name] = from_json(cls, self.data[name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid config section {name}: {exc}") from exc
+        lma, train = sections["lma"], sections["train"]
+        if lma.horizon != train.horizon:
+            raise ConfigError(
+                f"lma.horizon ({lma.horizon}) must equal train.horizon ({train.horizon})"
+            )
+        for key, value in self.data["paths"].items():
+            if not isinstance(value, str) or not value:
+                raise ConfigError(f"paths.{key} must be a nonempty string")
+        object.__setattr__(self, "sections", sections)
 
     @classmethod
     def load(cls, path: str | None = None, overrides: tuple[str, ...] = ()) -> "RunConfig":
@@ -151,19 +172,11 @@ class RunConfig:
             _merge_user(data, user, path)
         for spec in overrides:
             _apply_override(data, spec)
-        cfg = cls(data)
-        cfg.validate()
-        return cfg
+        return cls(data)
 
     def section(self, name: str):
-        """The validated dataclass of section ``name``: one of ``SECTIONS`` or split."""
-        cls = SplitSpec if name == "split" else SECTIONS[name]
-        try:
-            cfg = from_json(cls, self.data[name])
-            cfg.validate()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config section {name}: {exc}") from exc
-        return cfg
+        """The dataclass of section ``name``: one of ``SECTIONS`` or split."""
+        return self.sections[name]
 
     def path(self, key: str) -> str:
         paths = self.data["paths"]
@@ -172,14 +185,3 @@ class RunConfig:
         p = str(paths[key])
         out_dir = str(paths["out_dir"])
         return p if os.path.isabs(p) or key == "out_dir" else os.path.join(out_dir, p)
-
-    def validate(self) -> None:
-        built = {name: self.section(name) for name in (*SECTIONS, "split")}
-        lma, train = built["lma"], built["train"]
-        if lma.horizon != train.horizon:
-            raise ConfigError(
-                f"lma.horizon ({lma.horizon}) must equal train.horizon ({train.horizon})"
-            )
-        for key, value in self.data["paths"].items():
-            if not isinstance(value, str) or not value:
-                raise ConfigError(f"paths.{key} must be a nonempty string")

@@ -101,11 +101,9 @@ def load_model(path: str) -> TrainedModel:
             raise ModelStoreError(f"{path}: corrupt header: {exc}") from exc
         try:
             train_config = from_json(TrainConfig, header["train_config"])
-            train_config.validate()
             lma_config = None
             if header["lma_config"] is not None:
                 lma_config = from_json(LmaConfig, header["lma_config"])
-                lma_config.validate()
             epoch_nll = tuple(float(v) for v in header["epoch_nll"])
             manifest = [(e["name"], tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
             if any(d < 0 for _, shape in manifest for d in shape):
@@ -133,8 +131,6 @@ def load_model(path: str) -> TrainedModel:
         params = NetworkParams(tuple(layers), arrays.pop("head_w"), arrays.pop("head_b"))
         if arrays:
             raise ValueError(f"unexpected arrays in file: {sorted(arrays)}")
+        return TrainedModel(params.freeze(), train_config, lma_config, epoch_nll, int(version))
     except ValueError as exc:
         raise ModelStoreError(f"{path}: corrupt model file: {exc}") from exc
-    return TrainedModel(
-        params.freeze(), train_config, lma_config, epoch_nll, int(version)
-    )

@@ -73,7 +73,7 @@ class TrainConfig:
     clip_norm: float = 1000.0
     day_of_week: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self, TrainError)
         if self.horizon < 1 or self.context_length < self.horizon:
             raise TrainError(
@@ -114,6 +114,10 @@ class TrainedModel:
     format_version: int = MODEL_FORMAT_VERSION
 
     def __post_init__(self) -> None:
+        for name in ("num_layers", "hidden_size"):
+            built, stated = getattr(self.params, name), getattr(self.train_config, name)
+            if built != stated:
+                raise TrainError(f"network has {name} {built} but train_config says {stated}")
         object.__setattr__(self, "epoch_nll", tuple(float(v) for v in self.epoch_nll))
 
     @property
@@ -157,7 +161,6 @@ def train(
     rebuilds; anything else is a TrainError.  lma_config is carried into
     the result so a reloaded model can rebuild its channels.
     """
-    cfg.validate()
     window_len = cfg.window_len
     n_steps = panel.n_steps
     if n_steps < window_len:

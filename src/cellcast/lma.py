@@ -71,7 +71,7 @@ class LmaConfig:
     features: tuple[str, ...] = ("mean", "std")
     standardize: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self, LmaError)
         if not (self.window_len >= self.horizon >= 1):
             raise LmaError(
@@ -133,7 +133,6 @@ def lma_window(i: int, n: int, window_len: int, horizon: int) -> tuple[int, int]
 
 def lma_features(z: np.ndarray, cfg: LmaConfig) -> np.ndarray:
     """All feature channels for one series: shape (K, n + horizon)."""
-    cfg.validate()
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise LmaError(f"series must be a nonempty 1-D sequence, got shape {z.shape}")
@@ -216,7 +215,6 @@ def build_covariates(panel: SeriesPanel, cfg: LmaConfig) -> CovariatePanel:
     training-range (first n steps) mean and population std, per series; a
     zero-variance channel is shifted to zero and left unscaled.
     """
-    cfg.validate()
     n = panel.n_steps
     raw = _channels(panel.values, cfg)
     if not cfg.standardize:
@@ -250,7 +248,6 @@ def assemble_covariates(
     kinds: list[str] = []
     shift = scale = None
     if lma_cfg is not None:
-        lma_cfg.validate()
         if lma_cfg.horizon != horizon:
             raise LmaError(f"lma horizon {lma_cfg.horizon} != requested horizon {horizon}")
         cov = build_covariates(panel, lma_cfg)

@@ -125,9 +125,6 @@ class SplitSpec:
     pred_end: int
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         check_field_types(self, PanelError)
         if self.pred_start <= 1:
             raise PanelError("pred_start must be > 1 (at least one conditioning step required)")

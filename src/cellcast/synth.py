@@ -55,7 +55,7 @@ class SynthConfig:
     seed: int = 20210901
     start_date: dt.date = dt.date(2021, 1, 1)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self, SynthConfigError)
         if self.n_series < 1:
             raise SynthConfigError(f"n_series must be >= 1, got {self.n_series}")
@@ -102,7 +102,6 @@ def generate_panel(cfg: SynthConfig) -> SeriesPanel:
     same angle up to a multiple of 2*pi and makes a noise-free panel repeat
     bit-exactly across periods.
     """
-    cfg.validate()
     t = np.arange(1, cfg.n_total + 1, dtype=np.float64)
     angle = 2.0 * math.pi * (np.arange(1, cfg.n_total + 1) % cfg.period) / cfg.period
     rows = []

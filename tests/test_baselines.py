@@ -120,9 +120,9 @@ class TestHoltWinters:
         with pytest.raises(BaselineError):
             holt_winters(np.ones(20), cfg, 0)
         with pytest.raises(BaselineError):
-            HoltWintersConfig(alpha=1.5).validate()
+            HoltWintersConfig(alpha=1.5)
         with pytest.raises(BaselineError):
-            HoltWintersConfig(beta=-0.1).validate()
+            HoltWintersConfig(beta=-0.1)
         with pytest.raises(BaselineError):
-            HoltWintersConfig(season=0).validate()
-        HoltWintersConfig().validate()
+            HoltWintersConfig(season=0)
+        HoltWintersConfig()

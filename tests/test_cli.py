@@ -14,7 +14,11 @@ import numpy as np
 import pytest
 
 from cellcast import (
+    BaselineError,
+    LmaError,
+    PanelError,
     SplitSpec,
+    SynthConfigError,
     TrainConfig,
     TrainError,
     TrainedModelForecaster,
@@ -26,7 +30,7 @@ from cellcast import (
 from cellcast import _fork, cli
 from cellcast.cli import run_command
 from cellcast._fields import from_json, to_json
-from cellcast.config import DEFAULT_CONFIG, SECTIONS
+from cellcast.config import DEFAULT_CONFIG, SECTIONS, ConfigError
 
 
 def base_overrides(tmp_path, **extra):
@@ -82,6 +86,23 @@ class TestDefaults:
         cls = SECTIONS[name]
         assert DEFAULT_CONFIG[name] == to_json(cls())
         assert from_json(cls, json.loads(json.dumps(DEFAULT_CONFIG[name]))) == cls()
+
+    @pytest.mark.parametrize("name", [*sorted(SECTIONS), "split"])
+    def test_each_section_checks_itself_when_built(self, name):
+        """Every section's dataclass rejects an out-of-range value at
+        construction, so no caller has a separate check to remember."""
+        kwargs, error = {
+            "synth": ({"n_series": 0}, SynthConfigError),
+            "lma": ({"window_len": 3, "horizon": 4}, LmaError),
+            "train": ({"epochs": -1}, TrainError),
+            "holt_winters": ({"alpha": 1.5}, BaselineError),
+            "sweep": ({"n_samples": 0}, ConfigError),
+            "split": ({"pred_start": 1, "pred_end": 5}, PanelError),
+        }[name]
+        cls = SplitSpec if name == "split" else SECTIONS[name]
+        with pytest.raises(error):
+            cls(**kwargs)
+        assert not hasattr(cls, "validate")
 
 
 class TestGenerate:

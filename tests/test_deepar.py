@@ -501,21 +501,21 @@ class TestTraining:
 
     def test_config_validation(self):
         with pytest.raises(TrainError):
-            TrainConfig(context_length=3, horizon=5).validate()
+            TrainConfig(context_length=3, horizon=5)
         with pytest.raises(TrainError):
-            TrainConfig(epochs=-1).validate()
+            TrainConfig(epochs=-1)
         with pytest.raises(TrainError):
-            TrainConfig(learning_rate=0.0).validate()
+            TrainConfig(learning_rate=0.0)
         with pytest.raises(TrainError):
-            TrainConfig(batch_size=0).validate()
+            TrainConfig(batch_size=0)
         with pytest.raises(TrainError):
-            TrainConfig(hidden_size=0).validate()
+            TrainConfig(hidden_size=0)
         with pytest.raises(TrainError):
-            TrainConfig(sigma_floor=0.0).validate()
+            TrainConfig(sigma_floor=0.0)
         with pytest.raises(TrainError):
-            TrainConfig(windows_per_series=0).validate()
+            TrainConfig(windows_per_series=0)
         with pytest.raises(TrainError):
-            TrainConfig(clip_norm=0.0).validate()
+            TrainConfig(clip_norm=0.0)
         assert TrainConfig().window_len == 93
 
     def test_lma_config_requires_covariates(self):
@@ -860,11 +860,18 @@ class TestModelStore:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("train_config", "horizon", "3"), ("lma_config", "standardize", "true")],
+        [
+            ("train_config", "horizon", "3"),
+            ("lma_config", "standardize", "true"),
+            ("train_config", "hidden_size", 40),
+            ("train_config", "num_layers", 3),
+        ],
     )
     def test_rejects_header_field_of_wrong_type(self, tmp_path, section, key, value):
         """A header config value of the wrong type is a corrupt file, not a
-        TypeError later in forecasting."""
+        TypeError later in forecasting; so is a layer count or hidden size
+        that disagrees with the arrays, which would otherwise load and be
+        reported as the network's size in every provenance file."""
         _, path, _ = self.trained(tmp_path, with_lma=True)
         blob = open(path, "rb").read()
         (header_len,) = struct.unpack("<Q", blob[24:32])

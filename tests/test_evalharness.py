@@ -335,7 +335,7 @@ class TestTrainedModelForecaster:
 
         model, train_panel = self.make_model(with_lma=False)
         # hand-build a model that expects one channel but carries no channel config
-        params = init_params(2, 4, 1, substream(0))
+        params = init_params(2, 6, 1, substream(0))
         bad = TrainedModel(params, model.train_config, None, ())
         fc = TrainedModelForecaster(bad, n_samples=4)
         with pytest.raises(EvalError, match="channels"):

@@ -166,13 +166,13 @@ class TestChannels:
     def test_config_validation(self):
         """Invalid configs and series raise LmaError."""
         with pytest.raises(LmaError):
-            LmaConfig(window_len=3, horizon=4).validate()
+            LmaConfig(window_len=3, horizon=4)
         with pytest.raises(LmaError):
-            LmaConfig(features=()).validate()
+            LmaConfig(features=())
         with pytest.raises(LmaError):
-            LmaConfig(features=("mean", "mean")).validate()
+            LmaConfig(features=("mean", "mean"))
         with pytest.raises(LmaError):
-            LmaConfig(features=("median",)).validate()
+            LmaConfig(features=("median",))
         with pytest.raises(LmaError):
             lma_features(np.arange(5.0), LmaConfig(window_len=10, horizon=2))
         with pytest.raises(LmaError):
