@@ -8,6 +8,11 @@ no ``atexit`` handlers.  ``result()`` in the parent reads the pipe to EOF
 returns the value or raises the exception.  Pickle's highest protocol keeps
 arrays bit for bit, read-only flag included, so the value is the one the
 call would have returned in the parent.
+
+It has two users, both behind ``can_fork()``: ``cli._train_networks`` trains
+the sweep's first network in a child, and
+``evalharness.TrainedModelForecaster.forecasts`` samples the second half of
+each round of series in a child.
 """
 
 from __future__ import annotations

@@ -49,6 +49,13 @@ BLOCK_ROWS = 8
 # ran slower.
 GROUP_BLOCKS = 32
 
+# A panel is forecast in rounds of this many groups' worth of series, and
+# with a second CPU a forked child samples the second half of each round.
+# The round bounds what the child sends back at once: at 100 samples x 31
+# steps its half is 64 series, 1.6 MB, where a whole 5,000-series panel's
+# half would be 62 MB.
+ROUND_GROUPS = 64
+
 
 class ForecastError(ValueError):
     """Invalid forecast request or inputs."""

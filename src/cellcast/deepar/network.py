@@ -39,10 +39,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     With e = exp(-|x|) this is 1/(1+e) for x >= 0 and e/(1+e) below zero:
     per element the same exp, add and divide as the two-branch form, so the
     result is bit-identical to it, and exp never sees a positive argument.
+    The numerator is max(e, x >= 0): e <= 1, so it is 1.0 where x >= 0 and
+    e elsewhere, the same values as a select but in one cheaper pass.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

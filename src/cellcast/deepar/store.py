@@ -116,19 +116,21 @@ def load_model(path: str) -> TrainedModel:
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ModelStoreError(f"{path}: corrupt model file: trailing bytes")
+
+    def take(name: str) -> np.ndarray:
+        if name not in arrays:
+            raise ValueError(f"array {name} missing from manifest")
+        return arrays.pop(name)
+
     try:
         layers = []
         idx = 0
         while f"layer{idx}.wx" in arrays:
             layers.append(
-                LayerParams(
-                    arrays.pop(f"layer{idx}.wx"),
-                    arrays.pop(f"layer{idx}.wh"),
-                    arrays.pop(f"layer{idx}.b"),
-                )
+                LayerParams(take(f"layer{idx}.wx"), take(f"layer{idx}.wh"), take(f"layer{idx}.b"))
             )
             idx += 1
-        params = NetworkParams(tuple(layers), arrays.pop("head_w"), arrays.pop("head_b"))
+        params = NetworkParams(tuple(layers), take("head_w"), take("head_b"))
         if arrays:
             raise ValueError(f"unexpected arrays in file: {sorted(arrays)}")
         return TrainedModel(params.freeze(), train_config, lma_config, epoch_nll, int(version))

@@ -21,9 +21,10 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from ._fields import hashed_json, to_json
+from ._fork import can_fork, fork_call
 from .baselines import HoltWintersConfig, holt_winters, seasonal_naive
 from .deepar import Forecast, TrainedModel, point_forecast, sample_forecast
-from .deepar.forecasting import group_size
+from .deepar.forecasting import ROUND_GROUPS, ForecastGroup, group_size
 from .lma import assemble_covariates
 from .panel import SeriesPanel, SplitSpec, split_panel, write_step_table
 
@@ -144,9 +145,14 @@ class TrainedModelForecaster:
         """One sampled Forecast per series, in panel order.
 
         The horizon and channel checks and the covariate build run in this
-        call, before the first series is sampled; the series are sampled as
-        the iterator is consumed, ``group_size(n_samples)`` series per
-        sampler call.  How the series are grouped never changes a byte.
+        call, before the first series is sampled.  The series are sampled in
+        rounds of ``ROUND_GROUPS`` groups' worth, ``group_size(n_samples)``
+        series per sampler call.  With a second usable CPU, each round's
+        first half is sampled here as the iterator is consumed, while a
+        forked child samples the second half ahead, not as the iterator is
+        consumed; its forecasts, or its error, follow the first half's.  How
+        the series are grouped or split never changes a byte, so the
+        forecasts do not depend on the CPU count.
         """
         cfg = self.model.train_config
         if horizon > cfg.horizon:
@@ -164,17 +170,36 @@ class TrainedModelForecaster:
             )
         per_group = group_size(self.n_samples)
 
-        def sampled() -> Iterator[Forecast]:
-            for lo in range(0, train_panel.n_series, per_group):
-                rows = slice(lo, lo + per_group)
-                yield from sample_forecast(
+        def groups(lo: int, hi: int) -> Iterator[ForecastGroup]:
+            for start in range(lo, hi, per_group):
+                rows = slice(start, min(start + per_group, hi))
+                yield sample_forecast(
                     self.model,
                     train_panel.values[rows],
                     cov.channels[rows] if cov is not None else None,
                     horizon=horizon,
                     n_samples=self.n_samples,
-                    seed=[(*seed_ids, i) for i in range(train_panel.n_series)[rows]],
+                    seed=[(*seed_ids, i) for i in range(rows.start, rows.stop)],
                 )
+
+        def sample_ahead(lo: int, hi: int) -> list[ForecastGroup]:
+            return list(groups(lo, hi))
+
+        def sampled() -> Iterator[Forecast]:
+            n = train_panel.n_series
+            for lo in range(0, n, ROUND_GROUPS * per_group):
+                hi = min(lo + ROUND_GROUPS * per_group, n)
+                if hi - lo < 2 or not can_fork():
+                    for group in groups(lo, hi):
+                        yield from group
+                    continue
+                mid = lo + (hi - lo + 1) // 2
+                with fork_call(sample_ahead, mid, hi) as child:
+                    for group in groups(lo, mid):
+                        yield from group
+                    ahead = child.result()
+                for group in ahead:
+                    yield from group
 
         return sampled()
 

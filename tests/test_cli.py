@@ -8,7 +8,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -492,6 +494,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "horizon 5 cannot forecast 6 steps" in err
+        assert not (tmp_path / "forecast_point.csv").exists()
+
+    def test_model_missing_an_array_is_one_error_line(self, tmp_path, capsys):
+        """A model file whose manifest (and payload) lacks its last array,
+        head_b, is a corrupt model file, not a KeyError traceback."""
+        ov = base_overrides(tmp_path)
+        for command in ("generate", "train"):
+            assert run_cli(command, ov) == 0
+        capsys.readouterr()
+        path = tmp_path / "model.bin"
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[24:32])
+        header = json.loads(blob[32 : 32 + header_len])
+        last = header["arrays"].pop()
+        assert last["name"] == "head_b"
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        payload = blob[32 + header_len : len(blob) - 8 * math.prod(last["shape"])]
+        path.write_bytes(blob[:24] + struct.pack("<Q", len(text)) + text + payload)
+        assert run_cli("forecast", ov) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: corrupt model file: array head_b missing from manifest\n"
         assert not (tmp_path / "forecast_point.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

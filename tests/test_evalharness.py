@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from cellcast import (
     write_report_csvs,
     write_svg_plots,
 )
-from cellcast import evalharness
+from cellcast import _fork, evalharness
 from cellcast.deepar import forecasting
 from cellcast.deepar.forecasting import group_size
 from cellcast.evalharness import write_provenance
@@ -389,9 +390,8 @@ class TestTrainedModelForecaster:
             for i, (a, b) in enumerate(zip(small, big, strict=True)):
                 assert b.samples[:8].tobytes() == a.samples.tobytes(), (n_samples, i)
 
-    def test_one_sampler_call_per_group(self, monkeypatch):
-        """50 series at 2 samples are sampled in two groups: one sample_forecast
-        call and one encoder pass per group, not one per series."""
+    def count_calls(self, monkeypatch):
+        """Count this process's sample_forecast and encoder calls."""
         calls = {"sample_forecast": 0, "forward_window": 0}
 
         def counting(module, name):
@@ -405,6 +405,14 @@ class TestTrainedModelForecaster:
 
         counting(evalharness, "sample_forecast")
         counting(forecasting, "forward_window")
+        return calls
+
+    def test_one_sampler_call_per_group(self, monkeypatch):
+        """50 series at 2 samples are sampled in two groups: one sample_forecast
+        call and one encoder pass per group, not one per series.  The count
+        runs in one process, so the fork is pinned off."""
+        monkeypatch.setattr(evalharness, "can_fork", lambda: False)
+        calls = self.count_calls(monkeypatch)
         model, _ = self.wide_model()
         train_panel, _ = split_panel(weekly_panel(n_series=50), SplitSpec(36, 40))
         point = TrainedModelForecaster(model, 2).forecast_panel(train_panel, 5, (3,))
@@ -412,6 +420,17 @@ class TestTrainedModelForecaster:
         groups = -(-50 // group_size(2))
         assert groups == 2
         assert calls == {"sample_forecast": groups, "forward_window": groups}
+
+    def test_forked_parent_samples_its_half_in_one_call(self, monkeypatch):
+        """With the fork, this process samples the first 25 of the 50 series,
+        one group, in one call; the child's calls are not counted here."""
+        monkeypatch.setattr(evalharness, "can_fork", lambda: True)
+        calls = self.count_calls(monkeypatch)
+        model, _ = self.wide_model()
+        train_panel, _ = split_panel(weekly_panel(n_series=50), SplitSpec(36, 40))
+        point = TrainedModelForecaster(model, 2).forecast_panel(train_panel, 5, (3,))
+        assert point.shape == (50, 5)
+        assert calls == {"sample_forecast": 1, "forward_window": 1}
 
     def test_describe_carries_configs(self):
         model, _ = self.make_model()
@@ -423,6 +442,91 @@ class TestTrainedModelForecaster:
         assert desc["lma_config"]["features"] == ["mean", "std"]
         naive_desc = SeasonalNaiveForecaster(season=7).describe()
         assert naive_desc == {"kind": "seasonal_naive", "season": 7}
+
+
+class TestForkedForecasts:
+    """With a second CPU, a forked child samples the second half of each
+    round of series; nothing the forecasts hold may depend on that."""
+
+    wide_model = TestTrainedModelForecaster.wide_model
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Spy on the fork helper; returns the handles it made."""
+        handles = []
+
+        def spy(fn, *args):
+            handles.append(_fork.fork_call(fn, *args))
+            return handles[-1]
+
+        monkeypatch.setattr(evalharness, "fork_call", spy)
+        return handles
+
+    def forecasts(self, monkeypatch, fork, model, panel, n_samples):
+        monkeypatch.setattr(evalharness, "can_fork", lambda: fork)
+        fc = TrainedModelForecaster(model, n_samples).forecasts(panel, 5, (3,))
+        return [(f.samples.tobytes(), f.scale, f.seed) for f in fc]
+
+    def panels(self):
+        model, wide = self.wide_model()
+        odd = SeriesPanel(wide.series_ids[:7], wide.start_date, wide.values[:7])
+        return model, (wide, odd)
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 8, 9, 100])
+    def test_forked_bytes_equal_in_process(self, monkeypatch, forks, n_samples):
+        model, panels = self.panels()
+        for panel in panels:
+            alone = self.forecasts(monkeypatch, False, model, panel, n_samples)
+            assert forks == []
+            assert self.forecasts(monkeypatch, True, model, panel, n_samples) == alone
+            assert len(forks) == 1
+            forks.clear()
+
+    @pytest.mark.parametrize("round_groups, forks_made", [(1, 3), (2, 2)])
+    def test_several_rounds_give_the_same_bytes(self, monkeypatch, forks, round_groups, forks_made):
+        """Seven series at 100 samples (two per group) in rounds of two series
+        (2+2+2+1) or four (4+3): one fork per round of two or more series."""
+        model, (_, odd) = self.panels()
+        alone = self.forecasts(monkeypatch, False, model, odd, 100)
+        monkeypatch.setattr(evalharness, "ROUND_GROUPS", round_groups)
+        assert self.forecasts(monkeypatch, True, model, odd, 100) == alone
+        assert len(forks) == forks_made
+
+    @pytest.mark.parametrize("first_bad", [2, 5, 6])
+    def test_child_error_is_the_in_process_error(self, monkeypatch, forks, first_bad):
+        """A sampler error from series first_bad on, in this process's half
+        (2) or only in the child's (5, 6), is the same exception, and the same
+        sweep failure entry, with the fork as without it."""
+        model, (_, odd) = self.panels()
+        real = evalharness.sample_forecast
+
+        def failing(*args, seed, **kwargs):
+            if any(s[-1] >= first_bad for s in seed):
+                raise forecasting.ForecastError(f"series {first_bad} and on cannot be sampled")
+            return real(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(evalharness, "sample_forecast", failing)
+        panel, split = weekly_panel(n_series=odd.n_series), SplitSpec(36, 40)
+        outcomes = []
+        for fork in (False, True):
+            monkeypatch.setattr(evalharness, "can_fork", lambda: fork)
+            with pytest.raises(forecasting.ForecastError) as caught:
+                list(TrainedModelForecaster(model, 100).forecasts(odd, 5, (3,)))
+            report = sweep({"deepar": TrainedModelForecaster(model, 100)}, panel, split, (1, 5), seed=3)
+            outcomes.append((type(caught.value), str(caught.value), report.failures))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == {"deepar": f"ForecastError: series {first_bad} and on cannot be sampled"}
+        assert len(forks) == 2
+
+    def test_closed_iterator_leaves_no_child(self, monkeypatch, forks):
+        model, (wide, _) = self.panels()
+        monkeypatch.setattr(evalharness, "can_fork", lambda: True)
+        fc = TrainedModelForecaster(model, 100).forecasts(wide, 5, (3,))
+        next(fc)
+        fc.close()
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestWriters:
