@@ -63,10 +63,21 @@ def lstm_cell(
     each step makes one elementwise pass instead of three.  Returns the new
     hidden and cell rows plus the activations (input, forget, candidate,
     output gate, tanh of the cell) that backpropagation reuses.
+
+    Products with more than one row (training's (B, D) batches, the
+    sampler's stacked blocks) multiply by the layer's C-contiguous copies
+    ``wx_t``/``wh_t``, which is faster.  One-row products (1-D x, the
+    encoder's (..., 1, D) slices) multiply by the transposed views
+    ``wx.T``/``wh.T``: BLAS takes another path for them and would round
+    differently with the copies, moving every forecast.
     """
     hs = layer.hidden_size
     h_prev, c_prev = state
-    a = x @ layer.wx.T + h_prev @ layer.wh.T + layer.b
+    if x.ndim >= 2 and x.shape[-2] > 1:
+        wx_t, wh_t = layer.wx_t, layer.wh_t
+    else:
+        wx_t, wh_t = layer.wx.T, layer.wh.T
+    a = x @ wx_t + h_prev @ wh_t + layer.b
     s = sigmoid(a)
     gi = s[..., :hs]
     gf = s[..., hs : 2 * hs]

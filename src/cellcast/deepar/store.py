@@ -112,6 +112,8 @@ def load_model(path: str) -> TrainedModel:
             raise ModelStoreError(f"{path}: corrupt header: {exc}") from exc
         arrays: dict[str, np.ndarray] = {}
         for name, shape in manifest:
+            if name in arrays:
+                raise ModelStoreError(f"{path}: corrupt model file: array {name} listed twice")
             raw = _read_exact(fh, math.prod(shape) * 8, f"array {name}")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):

@@ -517,6 +517,26 @@ class TestErrors:
         assert err == f"error: {path}: corrupt model file: array head_b missing from manifest\n"
         assert not (tmp_path / "forecast_point.csv").exists()
 
+    def test_model_listing_an_array_twice_is_one_error_line(self, tmp_path, capsys):
+        """A model file whose manifest names head_b twice, with a payload for
+        each, is a corrupt model file; it used to forecast with the later copy."""
+        ov = base_overrides(tmp_path)
+        for command in ("generate", "train"):
+            assert run_cli(command, ov) == 0
+        capsys.readouterr()
+        path = tmp_path / "model.bin"
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[24:32])
+        header = json.loads(blob[32 : 32 + header_len])
+        header["arrays"].append({"name": "head_b", "shape": [2]})
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        payload = blob[32 + header_len :] + struct.pack("<2d", 7.0, 9.0)
+        path.write_bytes(blob[:24] + struct.pack("<Q", len(text)) + text + payload)
+        assert run_cli("forecast", ov) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: corrupt model file: array head_b listed twice\n"
+        assert not (tmp_path / "forecast_point.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_evaluate_names_non_finite_value_line(self, tmp_path, capsys, value):
         """A non-finite forecast value is one error line naming the file and line."""

@@ -139,6 +139,51 @@ class TestCellMath:
             for g, g_r in zip(gates, gates_r):
                 np.testing.assert_allclose(g[r], g_r, rtol=1e-12, atol=1e-15)
 
+    @staticmethod
+    def cell_from(a, c_prev, hs):
+        """The cell's gate math from a given pre-activation a."""
+        s = sigmoid(a)
+        gg = np.tanh(a[..., 2 * hs : 3 * hs])
+        c = s[..., hs : 2 * hs] * c_prev + s[..., :hs] * gg
+        tc = np.tanh(c)
+        return s[..., 3 * hs :] * tc, c, (s[..., :hs], s[..., hs : 2 * hs], gg, s[..., 3 * hs :], tc)
+
+    def assert_cell_bytes(self, layer, x, wx_t, wh_t):
+        rng = np.random.default_rng(x.size)
+        hs = layer.hidden_size
+        h_prev = rng.normal(0.0, 0.5, (*x.shape[:-1], hs))
+        c_prev = rng.normal(0.0, 0.5, h_prev.shape)
+        h, c, gates = lstm_cell(x, (h_prev, c_prev), layer)
+        a = x @ wx_t + h_prev @ wh_t + layer.b
+        h_ref, c_ref, gates_ref = self.cell_from(a, c_prev, hs)
+        assert h.tobytes() == h_ref.tobytes() and c.tobytes() == c_ref.tobytes()
+        for g, g_ref in zip(gates, gates_ref):
+            assert g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("in_size", [3, 4, 40])
+    def test_one_row_products_use_the_transposed_views(self, in_size):
+        """A one-row product, a 1-D x or the encoder's stacked (S, 1, D)
+        slices, multiplies by wx.T and wh.T.  The C-contiguous copies round
+        such products differently on some BLAS kernels, which would move
+        every forecast; this pins the rule."""
+        rng = np.random.default_rng(in_size)
+        for hidden in (6, 40):
+            layer = make_params(in_size, hidden, 1, seed=hidden).layers[0]
+            for shape in [(in_size,), (1, in_size), (5, 1, in_size), (2, 13, 1, in_size)]:
+                x = rng.normal(0.0, 1.0, shape)
+                self.assert_cell_bytes(layer, x, layer.wx.T, layer.wh.T)
+
+    @pytest.mark.parametrize("in_size", [3, 4, 40])
+    def test_multi_row_products_use_the_copies(self, in_size):
+        """Training's (B, D) batches and the sampler's (S, blocks, 8, D)
+        blocks multiply by the C-contiguous copies wx_t and wh_t."""
+        rng = np.random.default_rng(in_size)
+        for hidden in (6, 40):
+            layer = make_params(in_size, hidden, 1, seed=hidden).layers[0]
+            for shape in [(2, in_size), (3, in_size), (7, in_size), (32, in_size), (2, 13, 8, in_size)]:
+                x = rng.normal(0.0, 1.0, shape)
+                self.assert_cell_bytes(layer, x, layer.wx_t, layer.wh_t)
+
     def test_sigmoid_is_bit_identical_to_masked_form(self):
         """The mask-free sigmoid gives the masked form's bytes: at the edges, on
         the cell's block shapes and on the gate slices the cell takes."""
@@ -358,6 +403,77 @@ class TestGradients:
             np.testing.assert_array_equal(a, b_arr)
         with pytest.raises(ValueError):
             params.from_vector(vec[:-1])
+
+
+class TestDerivedTransposes:
+    """LayerParams keeps C-contiguous copies of wx.T and wh.T for the cell's
+    multi-row products; they are derived, never stored or compared."""
+
+    def test_copies_equal_the_transposes(self):
+        for layer in make_params(3, 5, 2, seed=2).layers:
+            for copy, weights in ((layer.wx_t, layer.wx), (layer.wh_t, layer.wh)):
+                assert copy.shape == weights.T.shape
+                assert copy.flags.c_contiguous
+                assert copy.tobytes() == weights.T.tobytes()
+
+    def test_freeze_makes_the_copies_read_only(self):
+        params = make_params(3, 5, 2, seed=2)
+        assert params.layers[0].wx_t.flags.writeable
+        params.freeze()
+        for layer in params.layers:
+            for copy in (layer.wx_t, layer.wh_t):
+                assert not copy.flags.writeable
+                with pytest.raises(ValueError):
+                    copy[0, 0] = 1.0
+
+    def test_rebuilt_params_rebuild_the_copies(self):
+        params = make_params(3, 5, 2, seed=2)
+        vec = np.random.default_rng(8).normal(0.0, 0.1, params.n_parameters())
+        from_vec = params.from_vector(vec)
+        from_arrays = params.with_arrays([a + 1.0 for a in params.arrays()])
+        for rebuilt in (from_vec, from_arrays):
+            for layer in rebuilt.layers:
+                assert layer.wx_t.tobytes() == layer.wx.T.tobytes()
+                assert layer.wh_t.tobytes() == layer.wh.T.tobytes()
+        assert from_vec.layers[0].wx[0, 0] == vec[0]
+
+    def test_copies_stay_out_of_arrays_vector_repr_and_file(self, tmp_path):
+        model = tiny_model(n_channels=2, hidden=5, layers=2)
+        params = model.params.freeze()
+        arrays = params.arrays()
+        assert len(arrays) == 3 * params.num_layers + 2
+        assert not any(a is copy for a in arrays for layer in params.layers for copy in (layer.wx_t, layer.wh_t))
+        assert params.n_parameters() == sum(
+            layer.wx.size + layer.wh.size + layer.b.size for layer in params.layers
+        ) + params.head_w.size + params.head_b.size
+        assert params.to_vector().shape == (params.n_parameters(),)
+        assert "wx_t" not in repr(params.layers[0]) and "wh_t" not in repr(params.layers[0])
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[24:32])
+        header = json.loads(blob[32 : 32 + header_len])
+        assert [e["name"] for e in header["arrays"]] == [
+            "layer0.wx", "layer0.wh", "layer0.b", "layer1.wx", "layer1.wh", "layer1.b", "head_w", "head_b"
+        ]
+        assert len(blob) == 32 + header_len + 8 * params.n_parameters()
+
+    def test_model_sent_through_a_fork_forecasts_the_same_bytes(self):
+        from cellcast._fork import fork_call
+
+        model = tiny_model(n_channels=2, hidden=40, layers=2, context=62, horizon=31, seed=5)
+        model.params.freeze()
+        with fork_call(lambda m: m, model) as call:
+            sent = call.result()
+        for layer, back in zip(model.params.layers, sent.params.layers):
+            assert back.wx_t.tobytes() == layer.wx_t.tobytes()
+            assert back.wh_t.flags.c_contiguous and not back.wh_t.flags.writeable
+        rng = np.random.default_rng(6)
+        cond = rng.uniform(10.0, 100.0, 70)
+        cov = rng.normal(0.0, 1.0, (2, 70 + 31))
+        a = sample_forecast(model, cond, cov, n_samples=20, seed=(4, 1))
+        b = sample_forecast(sent, cond, cov, n_samples=20, seed=(4, 1))
+        assert a.samples.tobytes() == b.samples.tobytes()
 
 
 def sinusoid_panel(n_series=8, n_steps=60, seed=17, noise=0.02):
