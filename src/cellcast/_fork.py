@@ -9,19 +9,19 @@ returns the value or raises the exception.  Pickle's highest protocol keeps
 arrays bit for bit, read-only flag included, so the value is the one the
 call would have returned in the parent.
 
-It has two users, both behind ``can_fork()``: ``cli._train_networks`` trains
-the sweep's first network in a child, and
-``evalharness.TrainedModelForecaster.forecasts`` samples the second half of
-each round of series in a child.
+``in_halves`` is the one policy for using a second CPU: ``cli.cmd_sweep``
+trains its networks and ``evalharness.TrainedModelForecaster.forecasts``
+samples a panel's series through it.  No other module forks.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import signal
 
-__all__ = ["ForkError", "can_fork", "fork_call", "usable_cpus"]
+__all__ = ["ForkError", "can_fork", "fork_call", "in_halves", "usable_cpus"]
 
 
 class ForkError(ValueError):
@@ -107,3 +107,31 @@ class ForkedCall:
 def fork_call(fn, *args) -> ForkedCall:
     """Start ``fn(*args)`` in a forked child and return its handle."""
     return ForkedCall(fn, args)
+
+
+def in_halves(run, n: int, per_round: int | None = None):
+    """Yield the results of items 0..n-1 in order; ``run(lo, hi)`` returns
+    those of items lo..hi-1.  They go in rounds of ``per_round`` (all n by
+    default).  In a round of two or more, when ``can_fork()`` holds, a forked
+    child computes ``list(run(mid, hi))``, mid = lo + ceil((hi - lo) / 2),
+    while this process yields ``run(lo, mid)`` as it is consumed.  An error
+    here propagates at once and the child is killed; the child's results, or
+    its error, follow this process's half.  So for a pure ``run`` the results
+    and the first error do not depend on the CPU count.
+    """
+    per_round = per_round or max(n, 1)
+
+    @functools.wraps(run)  # so a ForkError names run
+    def listed(lo: int, hi: int) -> list:
+        return list(run(lo, hi))
+
+    for lo in range(0, n, per_round):
+        hi = min(lo + per_round, n)
+        if hi - lo < 2 or not can_fork():
+            yield from run(lo, hi)
+            continue
+        mid = lo + (hi - lo + 1) // 2
+        with fork_call(listed, mid, hi) as child:
+            yield from run(lo, mid)
+            ahead = child.result()
+        yield from ahead

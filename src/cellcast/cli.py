@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from ._fields import hashed_json
-from ._fork import can_fork, fork_call
+from ._fork import in_halves
 from .config import ConfigError, RunConfig
-from .deepar import TrainedModel, load_model, point_forecast, save_model, train
+from .deepar import load_model, point_forecast, save_model, train
 from .evalharness import (
     HoltWintersForecaster,
     SeasonalNaiveForecaster,
@@ -212,24 +212,6 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_networks(jobs: dict[str, tuple]) -> dict[str, TrainedModel]:
-    """Train each job (name -> train's arguments) and return the models by
-    name.  With two jobs and a second usable CPU, the first job trains in a
-    forked child while this process trains the other.  Training is a pure
-    function, so the models are the same either way, and when both fail the
-    first job's error is raised, as in a run one after the other."""
-    names = list(jobs)
-    if len(names) < 2 or not can_fork():
-        return {name: train(*jobs[name]) for name in names}
-    with fork_call(train, *jobs[names[0]]) as first:
-        try:
-            rest = {name: train(*jobs[name]) for name in names[1:]}
-        except (ValueError, MemoryError):
-            first.result()  # the first job's error wins
-            raise
-        return {names[0]: first.result(), **rest}
-
-
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     panel = load_panel(cfg.path("panel"))
     split = cfg.section("split")
@@ -248,8 +230,13 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"sweep.steps: step {sweep_cfg.steps[-1]} exceeds train.horizon"
             f" {train_cfg.horizon}, the longest forecast the networks learn"
         )
-    jobs = {name: _train_args(cfg, train_panel, name == "lma_deepar") for name in networks}
-    trained = _train_networks(jobs)
+    jobs = [_train_args(cfg, train_panel, name == "lma_deepar") for name in networks]
+
+    def training(lo: int, hi: int) -> list:
+        return [train(*job) for job in jobs[lo:hi]]
+
+    # training is pure, so the first listed network's error wins either way
+    trained = dict(zip(networks, in_halves(training, len(jobs))))
     models = {}
     for name in sweep_cfg.models:
         if name in trained:

@@ -21,10 +21,10 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from ._fields import hashed_json, to_json
-from ._fork import can_fork, fork_call
+from ._fork import in_halves
 from .baselines import HoltWintersConfig, holt_winters, seasonal_naive
 from .deepar import Forecast, TrainedModel, point_forecast, sample_forecast
-from .deepar.forecasting import ROUND_GROUPS, ForecastGroup, group_size
+from .deepar.forecasting import ROUND_GROUPS, group_size
 from .lma import assemble_covariates
 from .panel import SeriesPanel, SplitSpec, split_panel, write_step_table
 
@@ -70,18 +70,21 @@ def _check_pair(actual: np.ndarray, predicted: np.ndarray) -> tuple[np.ndarray, 
     return a, p
 
 
-def rmsle_pooled(actual: np.ndarray, predicted: np.ndarray) -> float:
-    """Root mean squared log error over every series-day cell (natural log)."""
+def _squared_log_errors(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """(log1p(predicted) - log1p(actual)) ** 2, cell by cell, after the checks."""
     a, p = _check_pair(actual, predicted)
     d = np.log1p(p) - np.log1p(a)
-    return float(np.sqrt(np.mean(np.mean(d * d, axis=1))))
+    return d * d
+
+
+def rmsle_pooled(actual: np.ndarray, predicted: np.ndarray) -> float:
+    """Root mean squared log error over every series-day cell (natural log)."""
+    return float(np.sqrt(np.mean(np.mean(_squared_log_errors(actual, predicted), axis=1))))
 
 
 def rmsle_per_series(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """Row-wise RMSLE: one value per series."""
-    a, p = _check_pair(actual, predicted)
-    d = np.log1p(p) - np.log1p(a)
-    return np.sqrt(np.mean(d * d, axis=1))
+    return np.sqrt(np.mean(_squared_log_errors(actual, predicted), axis=1))
 
 
 def stability_std(per_series_rmsle: np.ndarray) -> float:
@@ -102,15 +105,18 @@ def score_steps(
     Returns the pooled RMSLE and the stability std, each (n_steps,), and the
     per-series RMSLE, (n_series, n_steps).
     """
-    actual = np.asarray(actual, dtype=np.float64)
-    predicted = np.maximum(np.asarray(predicted, dtype=np.float64), 0.0)
+    width = max(steps, default=0)
+    actual = np.asarray(actual, dtype=np.float64)[:, :width]
+    predicted = np.maximum(np.asarray(predicted, dtype=np.float64), 0.0)[:, :width]
+    squared = _squared_log_errors(actual, predicted)
     pooled = np.empty(len(steps))
     stability = np.empty(len(steps))
     per_series = np.empty((actual.shape[0], len(steps)))
     for k, s in enumerate(steps):
-        a, p = actual[:, :s], predicted[:, :s]
-        per_series[:, k] = rows = rmsle_per_series(a, p)
-        pooled[k] = rmsle_pooled(a, p)
+        # the same reductions as rmsle_per_series and rmsle_pooled on [:, :s]
+        row_means = np.mean(squared[:, :s], axis=1)
+        per_series[:, k] = rows = np.sqrt(row_means)
+        pooled[k] = np.sqrt(np.mean(row_means))
         stability[k] = stability_std(rows)
     return pooled, stability, per_series
 
@@ -145,14 +151,12 @@ class TrainedModelForecaster:
         """One sampled Forecast per series, in panel order.
 
         The horizon and channel checks and the covariate build run in this
-        call, before the first series is sampled.  The series are sampled in
-        rounds of ``ROUND_GROUPS`` groups' worth, ``group_size(n_samples)``
-        series per sampler call.  With a second usable CPU, each round's
-        first half is sampled here as the iterator is consumed, while a
-        forked child samples the second half ahead, not as the iterator is
-        consumed; its forecasts, or its error, follow the first half's.  How
-        the series are grouped or split never changes a byte, so the
-        forecasts do not depend on the CPU count.
+        call, before the first series is sampled.  The series are sampled
+        ``group_size(n_samples)`` per sampler call, through
+        ``_fork.in_halves`` in rounds of ``ROUND_GROUPS`` groups' worth: with
+        a second usable CPU a forked child samples the second half of each
+        round ahead, while this process samples the first half as the
+        iterator is consumed.  Grouping and splitting never change a byte.
         """
         cfg = self.model.train_config
         if horizon > cfg.horizon:
@@ -170,10 +174,10 @@ class TrainedModelForecaster:
             )
         per_group = group_size(self.n_samples)
 
-        def groups(lo: int, hi: int) -> Iterator[ForecastGroup]:
+        def sampling(lo: int, hi: int) -> Iterator[Forecast]:
             for start in range(lo, hi, per_group):
                 rows = slice(start, min(start + per_group, hi))
-                yield sample_forecast(
+                yield from sample_forecast(
                     self.model,
                     train_panel.values[rows],
                     cov.channels[rows] if cov is not None else None,
@@ -182,26 +186,7 @@ class TrainedModelForecaster:
                     seed=[(*seed_ids, i) for i in range(rows.start, rows.stop)],
                 )
 
-        def sample_ahead(lo: int, hi: int) -> list[ForecastGroup]:
-            return list(groups(lo, hi))
-
-        def sampled() -> Iterator[Forecast]:
-            n = train_panel.n_series
-            for lo in range(0, n, ROUND_GROUPS * per_group):
-                hi = min(lo + ROUND_GROUPS * per_group, n)
-                if hi - lo < 2 or not can_fork():
-                    for group in groups(lo, hi):
-                        yield from group
-                    continue
-                mid = lo + (hi - lo + 1) // 2
-                with fork_call(sample_ahead, mid, hi) as child:
-                    for group in groups(lo, mid):
-                        yield from group
-                    ahead = child.result()
-                for group in ahead:
-                    yield from group
-
-        return sampled()
+        return in_halves(sampling, train_panel.n_series, ROUND_GROUPS * per_group)
 
     def forecast_panel(
         self, train_panel: SeriesPanel, horizon: int, seed_ids: tuple[int, ...] = (0,)

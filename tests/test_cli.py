@@ -616,19 +616,20 @@ REPORTS = (
 
 
 class TestTwoProcessSweep:
-    """With two usable CPUs, sweep trains its first network in a forked
+    """With two usable CPUs, sweep trains its second network in a forked
     child; nothing it writes or reports may depend on that."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
         """Spy on the fork helper; returns the handles it made."""
         handles = []
+        real = _fork.fork_call
 
         def spy(fn, *args):
-            handles.append(_fork.fork_call(fn, *args))
+            handles.append(real(fn, *args))
             return handles[-1]
 
-        monkeypatch.setattr(cli, "fork_call", spy)
+        monkeypatch.setattr(_fork, "fork_call", spy)
         return handles
 
     def sweep(self, tmp_path, monkeypatch, capsys, cpus, **extra):
@@ -647,7 +648,7 @@ class TestTwoProcessSweep:
         written = {name: (tmp_path / name).read_bytes() for name in REPORTS}
         two = self.sweep(tmp_path, monkeypatch, capsys, 2)
         assert two == one
-        assert len(forks) == 1
+        assert len(forks) == 3
         for name in REPORTS:
             assert (tmp_path / name).read_bytes() == written[name], name
 
@@ -727,7 +728,7 @@ class TestTwoProcessSweep:
         monkeypatch.setattr(cli, "train", train)
         rc, _, err = self.sweep(tmp_path, monkeypatch, capsys, 2)
         assert rc == 1
-        assert err == "error: forked train ended (exit status 3) without a result\n"
+        assert err == "error: forked training ended (exit status 3) without a result\n"
         assert not any((tmp_path / name).exists() for name in REPORTS)
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0].pid, os.WNOHANG)

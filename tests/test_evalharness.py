@@ -25,6 +25,7 @@ from cellcast import (
     rmsle_per_series,
     rmsle_pooled,
     sample_forecast,
+    score_steps,
     split_panel,
     stability_std,
     substream,
@@ -125,6 +126,34 @@ class TestMetrics:
             stability_std(np.array([]))
         with pytest.raises(EvalError):
             stability_std(np.array([1.0, np.inf]))
+
+    def test_score_steps_equals_the_per_step_functions(self):
+        """score_steps' bytes are those of the public metrics on each step's
+        first s days, predictions clamped at 0, also when the prediction is
+        narrower than actual or the steps skip days."""
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            h = int(rng.integers(1, 20))
+            steps = tuple(int(s) for s in np.flatnonzero(rng.random(h) < 0.6) + 1) or (h,)
+            a = rng.uniform(0.0, 900.0, (n, h + int(rng.integers(0, 3))))
+            p = rng.uniform(-50.0, 900.0, (n, steps[-1] + int(rng.integers(0, 2))))
+            pooled, stability, per_series = score_steps(a, p, steps)
+            clamped = np.maximum(p, 0.0)
+            rows = [rmsle_per_series(a[:, :s], clamped[:, :s]) for s in steps]
+            assert per_series.tobytes() == np.stack(rows, axis=1).tobytes()
+            want = [rmsle_pooled(a[:, :s], clamped[:, :s]) for s in steps]
+            assert pooled.tobytes() == np.array(want).tobytes()
+            assert stability.tobytes() == np.array([stability_std(r) for r in rows]).tobytes()
+
+    def test_score_steps_validation(self):
+        good = np.ones((2, 5))
+        nan_pred = good.copy()
+        nan_pred[1, 0] = np.nan
+        with pytest.raises(EvalError, match="non-finite values in predicted"):
+            score_steps(good, nan_pred, (1, 3))
+        with pytest.raises(EvalError, match="shape mismatch"):
+            score_steps(good, np.ones((2, 2)), (1, 3))
 
 
 def weekly_panel(n_series=6, n_steps=40, seed=201):
@@ -411,7 +440,7 @@ class TestTrainedModelForecaster:
         """50 series at 2 samples are sampled in two groups: one sample_forecast
         call and one encoder pass per group, not one per series.  The count
         runs in one process, so the fork is pinned off."""
-        monkeypatch.setattr(evalharness, "can_fork", lambda: False)
+        monkeypatch.setattr(_fork, "can_fork", lambda: False)
         calls = self.count_calls(monkeypatch)
         model, _ = self.wide_model()
         train_panel, _ = split_panel(weekly_panel(n_series=50), SplitSpec(36, 40))
@@ -424,7 +453,7 @@ class TestTrainedModelForecaster:
     def test_forked_parent_samples_its_half_in_one_call(self, monkeypatch):
         """With the fork, this process samples the first 25 of the 50 series,
         one group, in one call; the child's calls are not counted here."""
-        monkeypatch.setattr(evalharness, "can_fork", lambda: True)
+        monkeypatch.setattr(_fork, "can_fork", lambda: True)
         calls = self.count_calls(monkeypatch)
         model, _ = self.wide_model()
         train_panel, _ = split_panel(weekly_panel(n_series=50), SplitSpec(36, 40))
@@ -454,16 +483,17 @@ class TestForkedForecasts:
     def forks(self, monkeypatch):
         """Spy on the fork helper; returns the handles it made."""
         handles = []
+        real = _fork.fork_call
 
         def spy(fn, *args):
-            handles.append(_fork.fork_call(fn, *args))
+            handles.append(real(fn, *args))
             return handles[-1]
 
-        monkeypatch.setattr(evalharness, "fork_call", spy)
+        monkeypatch.setattr(_fork, "fork_call", spy)
         return handles
 
     def forecasts(self, monkeypatch, fork, model, panel, n_samples):
-        monkeypatch.setattr(evalharness, "can_fork", lambda: fork)
+        monkeypatch.setattr(_fork, "can_fork", lambda: fork)
         fc = TrainedModelForecaster(model, n_samples).forecasts(panel, 5, (3,))
         return [(f.samples.tobytes(), f.scale, f.seed) for f in fc]
 
@@ -509,7 +539,7 @@ class TestForkedForecasts:
         panel, split = weekly_panel(n_series=odd.n_series), SplitSpec(36, 40)
         outcomes = []
         for fork in (False, True):
-            monkeypatch.setattr(evalharness, "can_fork", lambda: fork)
+            monkeypatch.setattr(_fork, "can_fork", lambda: fork)
             with pytest.raises(forecasting.ForecastError) as caught:
                 list(TrainedModelForecaster(model, 100).forecasts(odd, 5, (3,)))
             report = sweep({"deepar": TrainedModelForecaster(model, 100)}, panel, split, (1, 5), seed=3)
@@ -520,7 +550,7 @@ class TestForkedForecasts:
 
     def test_closed_iterator_leaves_no_child(self, monkeypatch, forks):
         model, (wide, _) = self.panels()
-        monkeypatch.setattr(evalharness, "can_fork", lambda: True)
+        monkeypatch.setattr(_fork, "can_fork", lambda: True)
         fc = TrainedModelForecaster(model, 100).forecasts(wide, 5, (3,))
         next(fc)
         fc.close()

@@ -1,6 +1,6 @@
 """Checks on what lives next to the package: the benchmark's hooks, the
-README's examples, the module that owns the CSV format and the byte-identity
-script.
+README's examples, the modules that own the CSV format and the use of a
+second CPU, and the byte-identity script.
 
 perfbench traces cellcast by wrapping module attributes by name, so a
 renamed or bypassed function silently drops its metrics; the smoke run
@@ -67,6 +67,32 @@ def test_only_panel_imports_csv():
                     continue
                 if any(m == "csv" or m.startswith("csv.") for m in modules):
                     offenders.append(os.path.relpath(path, ROOT))
+    assert offenders == []
+
+
+def test_only_fork_module_forks():
+    """Using a second CPU is one policy, _fork.in_halves, so no other module
+    names the fork helpers or os.fork."""
+    package = os.path.join(ROOT, "src", "cellcast")
+    offenders = []
+    for folder, _, files in os.walk(package):
+        for name in files:
+            path = os.path.join(folder, name)
+            if not name.endswith(".py") or path == os.path.join(package, "_fork.py"):
+                continue
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if {"fork_call", "can_fork", "fork"} & set(names):
+                    offenders.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
     assert offenders == []
 
 
