@@ -6,6 +6,13 @@ the window seeds the first lag; a window at the very start of a series gets a
 zero seed lag) and is scored against the observed value at t.  The loss is
 the mean Gaussian negative log-likelihood over the steps, computed on the
 scaled series.
+
+The forward pass keeps every step's hidden and cell rows and gate
+activations for the backward pass, about 13 MB at the default batch and
+window.  ``batch_buffers`` allocates that set once; training passes the same
+set to every batch, so a run allocates it once instead of once per batch
+(freed and faulted in again each time), and a partial last batch uses its
+leading rows.
 """
 
 from __future__ import annotations
@@ -17,24 +24,38 @@ import numpy as np
 from .network import DEFAULT_SIGMA_FLOOR, gaussian_nll, input_rows, lstm_cell, sigmoid, softplus
 from .params import NetworkParams
 
-__all__ = ["batch_loss_and_grad"]
+__all__ = ["batch_buffers", "batch_loss_and_grad"]
+
+
+def batch_buffers(n_batch: int, length: int, params: NetworkParams) -> tuple[np.ndarray, ...]:
+    """Forward caches for batches of up to n_batch windows of length steps.
+
+    Returns the hidden and cell rows, each (length + 1, layers, n_batch,
+    hidden), then the input, forget, candidate and output gates and tanh of
+    the cell, each (length, layers, n_batch, hidden).  Each batch overwrites
+    them; a smaller batch uses the leading n_batch rows.
+    """
+    n_layers, hidden = params.num_layers, params.hidden_size
+    return (
+        *(np.empty((length + 1, n_layers, n_batch, hidden)) for _ in range(2)),
+        *(np.empty((length, n_layers, n_batch, hidden)) for _ in range(5)),
+    )
 
 
 def _forward_batch(
-    inputs: np.ndarray, params: NetworkParams
+    inputs: np.ndarray, params: NetworkParams, buffers: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Run the stacked recurrence over (B, L, D) inputs with full caches.
 
     Returns raw head outputs (mu, sigma pre-activation), each (B, L), plus
-    the intermediate activations the backward pass needs.
+    the intermediate activations the backward pass needs, written into the
+    leading B rows of ``buffers`` (see batch_buffers).
     """
     n_batch, length, _ = inputs.shape
     n_layers = params.num_layers
-    hidden = params.hidden_size
-    h_all = np.zeros((length + 1, n_layers, n_batch, hidden))
-    c_all = np.zeros((length + 1, n_layers, n_batch, hidden))
-    # input, forget, candidate and output gates, tanh(c): (L, layers, B, H) each
-    acts = tuple(np.empty((length, n_layers, n_batch, hidden)) for _ in range(5))
+    h_all, c_all, *acts = (buf[:, :, :n_batch] for buf in buffers)
+    h_all[0] = 0.0
+    c_all[0] = 0.0
     for t in range(length):
         x = inputs[:, t, :]
         for idx, layer in enumerate(params.layers):
@@ -108,6 +129,7 @@ def batch_loss_and_grad(
     scales: np.ndarray,
     params: NetworkParams,
     sigma_floor: float = DEFAULT_SIGMA_FLOOR,
+    buffers: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[float, NetworkParams]:
     """Mean window loss over a batch and its gradient.
 
@@ -117,7 +139,9 @@ def batch_loss_and_grad(
     per-window scale applied to both lags and targets.  Non-finite head
     outputs, loss or gradient raise ValueError (the outputs through
     gaussian_nll, the gradient through the NetworkParams checks), which is
-    how a diverging run shows.
+    how a diverging run shows.  buffers, from ``batch_buffers(B_max, T,
+    params)`` with B_max >= B, holds the forward caches; without it the call
+    allocates its own.
     """
     z_windows = np.asarray(z_windows, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
@@ -132,9 +156,15 @@ def batch_loss_and_grad(
         raise ValueError("scales must be finite and positive")
     if sigma_floor <= 0.0:
         raise ValueError("sigma_floor must be positive")
+    if buffers is None:
+        buffers = batch_buffers(n_batch, length, params)
+    elif buffers[0].shape[0] != length + 1 or buffers[0].shape[2] < n_batch:
+        raise ValueError(
+            f"buffers of shape {buffers[0].shape} cannot hold {n_batch} windows of {length} steps"
+        )
     inputs = input_rows(z_windows[:, :-1] / scales[:, None], x_windows, params)
     targets = z_windows[:, 1:] / scales[:, None]
-    mu, s_pre, caches = _forward_batch(inputs, params)
+    mu, s_pre, caches = _forward_batch(inputs, params, buffers)
     sigma = softplus(s_pre) + sigma_floor
     loss = float(np.mean(gaussian_nll(targets, mu, sigma, 1.0)))
     if not math.isfinite(loss):

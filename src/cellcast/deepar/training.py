@@ -30,7 +30,7 @@ from .._fields import check_field_types
 from .._rng import substream
 from ..lma import CovariatePanel, LmaConfig, assemble_covariates
 from ..panel import SeriesPanel
-from .grad import batch_loss_and_grad
+from .grad import batch_buffers, batch_loss_and_grad
 from .network import cut_windows
 from .params import NetworkParams, init_params
 
@@ -159,7 +159,9 @@ def train(
     ``assemble_covariates(panel, lma_config, cfg.horizon,
     day_of_week=cfg.day_of_week)``, which is what a forecast from the model
     rebuilds; anything else is a TrainError.  lma_config is carried into
-    the result so a reloaded model can rebuild its channels.
+    the result so a reloaded model can rebuild its channels.  One set of
+    forward caches (``batch_buffers``) serves every batch of the run and is
+    freed when train returns.
     """
     window_len = cfg.window_len
     n_steps = panel.n_steps
@@ -187,6 +189,7 @@ def train(
     channels = covariates.channels if covariates is not None else None
 
     total_steps = cfg.epochs * -(-n_windows // cfg.batch_size)
+    buffers = batch_buffers(min(cfg.batch_size, n_windows), window_len, params)
     theta = params.to_vector()
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
@@ -208,7 +211,7 @@ def train(
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 try:
                     loss, grads = batch_loss_and_grad(
-                        z_windows, x_windows, scales, par, cfg.sigma_floor
+                        z_windows, x_windows, scales, par, cfg.sigma_floor, buffers
                     )
                 except ValueError as exc:
                     raise TrainError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+from collections import Counter
 import io
 import math
 from dataclasses import dataclass
@@ -58,8 +59,9 @@ class SeriesPanel:
         for sid in ids:
             if not isinstance(sid, str) or sid == "":
                 raise PanelError(f"series ids must be nonempty strings, got {sid!r}")
-        if len(set(ids)) != len(ids):
-            dupes = sorted({s for s in ids if ids.count(s) > 1})
+        counts = Counter(ids)
+        if len(counts) != len(ids):
+            dupes = sorted(s for s, n in counts.items() if n > 1)
             raise PanelError(f"duplicate series ids: {dupes}")
         if not isinstance(self.start_date, dt.date):
             raise PanelError(f"start_date must be a datetime.date, got {self.start_date!r}")

@@ -9,6 +9,7 @@ import json
 import math
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from cellcast.deepar import (
     batch_loss_and_grad,
     sigmoid,
 )
+from cellcast.deepar.grad import batch_buffers
 from cellcast.deepar import training
 from cellcast.deepar.network import cut_windows
 from cellcast.deepar.training import step_size
@@ -393,6 +395,27 @@ class TestGradients:
         mean_grad = np.mean([s[1].to_vector() for s in single], axis=0)
         np.testing.assert_allclose(grads.to_vector(), mean_grad, rtol=1e-9, atol=1e-12)
 
+    def test_shared_buffers_leave_no_stale_state(self):
+        """Calls through one buffer set (a full batch, a smaller one, then
+        another full one) give the bytes of the same calls with their own
+        caches, whatever the buffers held before."""
+        rng = np.random.default_rng(8)
+        params = make_params(3, 5, 2, seed=4)
+        t_len = 6
+        buffers = batch_buffers(5, t_len, params)
+        for buf in buffers:
+            buf.fill(np.nan)
+        for b in (5, 3, 5):
+            z = rng.uniform(0.0, 30.0, (b, t_len + 1))
+            x = rng.normal(0.0, 1.0, (b, t_len, 2))
+            scales = rng.uniform(1.0, 10.0, b)
+            loss, grads = batch_loss_and_grad(z, x, scales, params, 1e-6, buffers)
+            own_loss, own_grads = batch_loss_and_grad(z, x, scales, params)
+            assert loss == own_loss
+            assert grads.to_vector().tobytes() == own_grads.to_vector().tobytes()
+        with pytest.raises(ValueError, match="cannot hold 6 windows"):
+            batch_loss_and_grad(z[[0] * 6], x[[0] * 6], scales[[0] * 6], params, 1e-6, buffers)
+
     def test_vector_round_trip(self):
         """to_vector / from_vector are inverse and preserve shapes."""
         params = make_params(3, 4, 2, seed=9)
@@ -608,6 +631,45 @@ class TestTraining:
         # 8 series x 8 windows in batches of 16: 4 updates per epoch
         with pytest.raises(TrainError, match=r"at epoch 2, batch 2: non-finite gradient"):
             train(sinusoid_panel(), None, self.small_cfg(epochs=2))
+
+    @pytest.mark.parametrize("n_series, batch_size, num_layers", [(13, 32, 1), (8, 7, 3)])
+    def test_shared_buffers_train_bit_identically(
+        self, monkeypatch, n_series, batch_size, num_layers
+    ):
+        """A run whose batches, the partial last one included, share one
+        buffer set gives the bytes of a run whose batches allocate their own."""
+        panel = sinusoid_panel(n_series=n_series)
+        cfg = self.small_cfg(
+            batch_size=batch_size, num_layers=num_layers, windows_per_series=5, epochs=2
+        )
+        shared = train(panel, None, cfg)
+        monkeypatch.setattr(
+            training, "batch_loss_and_grad", lambda *args: batch_loss_and_grad(*args[:5])
+        )
+        own = train(panel, None, cfg)
+        assert shared.params.to_vector().tobytes() == own.params.to_vector().tobytes()
+        assert shared.epoch_nll == own.epoch_nll
+
+    def test_one_buffer_set_per_run(self, monkeypatch):
+        """Every batch of a run gets the same buffer set, sized for a full
+        batch, and the set is gone once train returns."""
+        seen = []
+
+        def spy(*args):
+            seen.append(args[5])
+            return batch_loss_and_grad(*args)
+
+        monkeypatch.setattr(training, "batch_loss_and_grad", spy)
+        # 8 series x 5 windows in batches of 16: 16, 16 and 8 windows per epoch
+        cfg = self.small_cfg(windows_per_series=5, epochs=2)
+        train(sinusoid_panel(), None, cfg)
+        assert len(seen) == 6
+        first = seen[0]
+        assert first[0].shape == (cfg.window_len + 1, 1, 16, 8)
+        assert all(all(a is b for a, b in zip(bufs, first)) for bufs in seen)
+        refs = [weakref.ref(buf) for buf in first]
+        del seen[:], first
+        assert all(ref() is None for ref in refs)
 
     def test_rejects_short_panel(self):
         """Series shorter than one training window are rejected."""

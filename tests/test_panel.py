@@ -63,6 +63,13 @@ class TestSeriesPanel:
         with pytest.raises(PanelError):
             SeriesPanel(("a",), "2021-01-01", [[1.0]])
 
+    def test_duplicate_ids_are_listed_sorted(self):
+        """The error names every duplicated id once, in sorted order."""
+        ids = ("c", "b", "a", "c", "d", "b", "c")
+        with pytest.raises(PanelError) as excinfo:
+            SeriesPanel(ids, START, np.zeros((len(ids), 2)))
+        assert str(excinfo.value) == "duplicate series ids: ['b', 'c']"
+
     def test_equality_is_by_content(self):
         """Panels with identical ids, start date and bytes compare equal; any difference breaks it."""
         rng = np.random.default_rng(7)
