@@ -221,11 +221,19 @@ def train(
             g = _clip_gradient(grads.to_vector(), cfg.clip_norm)
             lr = step_size(cfg.learning_rate, step, total_steps)
             step += 1
-            adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
-            adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
-            m_hat = adam_m / (1.0 - ADAM_BETA1**step)
-            v_hat = adam_v / (1.0 - ADAM_BETA2**step)
-            theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            # A step size near the float64 limit can overflow the update
+            # itself; the check below reports that as divergence.
+            with np.errstate(over="ignore", invalid="ignore"):
+                adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
+                adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
+                m_hat = adam_m / (1.0 - ADAM_BETA1**step)
+                v_hat = adam_v / (1.0 - ADAM_BETA2**step)
+                theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            if not np.isfinite(theta).all():
+                raise TrainError(
+                    f"training diverged at epoch {epoch}, batch {batch_no}:"
+                    " non-finite parameter update"
+                )
         epoch_nll.append(loss_sum / n_windows)
     final = params.from_vector(theta).freeze()
     return TrainedModel(final, cfg, lma_config, tuple(epoch_nll))

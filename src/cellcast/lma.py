@@ -18,7 +18,7 @@ so the head and horizon entries are constant runs and every window stays
 inside the observed range.
 
 ``lma_window`` is the one statement of these rules.  Every series of a
-panel shares n, so ``build_covariates`` places the windows once, gathers the
+panel shares n, so ``assemble_covariates`` places the windows once, gathers the
 distinct windows of each length of a few series at a time as rows of one
 array and reduces each statistic over all rows in one call (``lma_features``
 is the one-series case); every row is reduced exactly as its 1-D window
@@ -44,7 +44,6 @@ __all__ = [
     "feature_value",
     "lma_window",
     "lma_features",
-    "build_covariates",
     "day_of_week_channel",
     "assemble_covariates",
     "export_covariates",
@@ -173,18 +172,13 @@ def _channels(values: np.ndarray, cfg: LmaConfig) -> np.ndarray:
 class CovariatePanel:
     """Per-series covariate channels of length n + horizon.
 
-    ``channels[i, k, t]`` is channel k of series i at step t+1.  When built
-    with standardization, ``shift``/``scale`` record the training-range mean
-    and population std each channel was normalized by (scale 1 where the
-    channel had zero variance).
+    ``channels[i, k, t]`` is channel k of series i at step t+1.
     """
 
     series_ids: tuple[str, ...]
     kinds: tuple[str, ...]
     horizon: int
     channels: np.ndarray
-    shift: np.ndarray | None = None
-    scale: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         ch = np.asarray(self.channels, dtype=np.float64)
@@ -208,24 +202,6 @@ class CovariatePanel:
         return self.channels.shape[1]
 
 
-def build_covariates(panel: SeriesPanel, cfg: LmaConfig) -> CovariatePanel:
-    """LMA channels for every series of a panel.
-
-    With ``cfg.standardize`` each channel is shifted and scaled by its own
-    training-range (first n steps) mean and population std, per series; a
-    zero-variance channel is shifted to zero and left unscaled.
-    """
-    n = panel.n_steps
-    raw = _channels(panel.values, cfg)
-    if not cfg.standardize:
-        return CovariatePanel(panel.series_ids, cfg.features, cfg.horizon, raw)
-    shift = raw[:, :, :n].mean(axis=2)
-    scale = raw[:, :, :n].std(axis=2)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    normalized = (raw - shift[:, :, None]) / scale[:, :, None]
-    return CovariatePanel(panel.series_ids, cfg.features, cfg.horizon, normalized, shift, scale)
-
-
 def day_of_week_channel(start_date: dt.date, n_steps: int, horizon: int) -> np.ndarray:
     """Calendar channel: weekday index centered and scaled to [-1, 1]."""
     first = start_date.weekday()
@@ -242,27 +218,41 @@ def assemble_covariates(
     """Covariates the forecaster trains on: LMA channels, optional calendar channel, or none.
 
     ``horizon`` must match ``lma_cfg.horizon`` when LMA channels are used.
+    With ``lma_cfg.standardize`` each LMA channel is shifted and scaled by
+    its own training-range (first n steps) mean and population std, per
+    series; a zero-variance channel is shifted to zero and left unscaled.
     Returns None when the model runs on the lagged target alone.
     """
-    parts: list[np.ndarray] = []
-    kinds: list[str] = []
-    shift = scale = None
+    channels = None
+    kinds: tuple[str, ...] = ()
     if lma_cfg is not None:
         if lma_cfg.horizon != horizon:
             raise LmaError(f"lma horizon {lma_cfg.horizon} != requested horizon {horizon}")
-        cov = build_covariates(panel, lma_cfg)
-        parts.append(np.asarray(cov.channels))
-        kinds.extend(cov.kinds)
-        shift, scale = cov.shift, cov.scale
+        n = panel.n_steps
+        # Values near the float64 limit overflow the window sums; the check
+        # below reports that once, in place of numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            channels = _channels(panel.values, lma_cfg)
+            if lma_cfg.standardize:
+                shift = channels[:, :, :n].mean(axis=2)
+                scale = channels[:, :, :n].std(axis=2)
+                scale = np.where(scale == 0.0, 1.0, scale)
+                channels -= shift[:, :, None]
+                channels /= scale[:, :, None]
+        if not np.isfinite(channels).all():
+            raise LmaError(
+                f"panel values up to {panel.values.max():g} are too large for their"
+                " moving statistics"
+            )
+        kinds = lma_cfg.features
     if day_of_week:
         dow = day_of_week_channel(panel.start_date, panel.n_steps, horizon)
-        parts.append(np.broadcast_to(dow, (panel.n_series, 1, dow.size)).copy())
-        kinds.append("dow")
-    if not parts:
+        dow = np.broadcast_to(dow, (panel.n_series, 1, dow.size))
+        channels = dow if channels is None else np.concatenate([channels, dow], axis=1)
+        kinds += ("dow",)
+    if channels is None:
         return None
-    return CovariatePanel(
-        panel.series_ids, tuple(kinds), horizon, np.concatenate(parts, axis=1), shift, scale
-    )
+    return CovariatePanel(panel.series_ids, kinds, horizon, channels)
 
 
 def export_covariates(cov: CovariatePanel, path: str) -> None:

@@ -73,6 +73,10 @@ class SeriesPanel:
             raise PanelError(f"{len(ids)} series ids but {vals.shape[0]} value rows")
         if vals.shape[1] < 1:
             raise PanelError("series length must be >= 1")
+        if (dt.date.max - self.start_date).days < vals.shape[1] - 1:
+            raise PanelError(
+                f"{vals.shape[1]} days from {self.start_date} run past {dt.date.max}"
+            )
         if not np.all(np.isfinite(vals)):
             bad = np.argwhere(~np.isfinite(vals))[0]
             raise PanelError(f"non-finite value in series {ids[bad[0]]!r} at step {bad[1] + 1}")

@@ -65,6 +65,11 @@ class SynthConfig:
             raise SynthConfigError(f"period must be >= 1, got {self.period}")
         if self.seed < 0:
             raise SynthConfigError(f"seed must be >= 0, got {self.seed}")
+        if (dt.date.max - self.start_date).days < self.n_total - 1:
+            raise SynthConfigError(
+                f"start_date {self.start_date} leaves no room for {self.n_total} days"
+                f" up to {dt.date.max}"
+            )
         for name in ("base_level", "burst_rate", "burst_scale", "noise_sigma"):
             if getattr(self, name) < 0:
                 raise SynthConfigError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,36 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged at epoch ") and err.count("\n") == 1
         assert not (tmp_path / "model.bin").exists()
+
+    def test_overflowing_update_is_divergence(self, tmp_path, capsys):
+        """An Adam update that overflows is the divergence line of its batch,
+        with no numpy warning ahead of it."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        ov = base_overrides(tmp_path, **{"train.learning_rate": "1e308"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("train", ov) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "error: training diverged at epoch 1, batch 1: non-finite parameter update\n"
+        )
+
+    def test_overflowing_channels_are_one_error_line(self, tmp_path, capsys):
+        """A panel too large for its moving statistics is one error line naming
+        the cause, with no numpy warning, in every command that builds channels."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        assert run_cli("train", base_overrides(tmp_path)) == 0
+        assert run_cli("generate", base_overrides(tmp_path, **{"synth.base_level": "1e308"})) == 0
+        capsys.readouterr()
+        for command in ("covariates", "train", "forecast"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run_cli(command, base_overrides(tmp_path)) == 1
+            assert caught == []
+            assert capsys.readouterr().err == (
+                "error: panel values up to 1e+308 are too large for their moving statistics\n"
+            )
 
     @pytest.mark.parametrize(
         "command, name, error, message",

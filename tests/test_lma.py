@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from cellcast import (
     LmaConfig,
     SeriesPanel,
     assemble_covariates,
-    build_covariates,
     day_of_week_channel,
     export_covariates,
     feature_value,
@@ -199,12 +199,12 @@ class TestCovariatePanel:
         # as the per-series path did; the standardizing reductions round by
         # memory order
         stacked = np.array([lma_features(row, raw) for row in panel.values])
-        assert build_covariates(panel, raw).channels.tobytes() == stacked.tobytes()
+        assert assemble_covariates(panel, raw, p).channels.tobytes() == stacked.tobytes()
         shift = stacked[:, :, :n].mean(axis=2)
         scale = stacked[:, :, :n].std(axis=2)
         scale = np.where(scale == 0.0, 1.0, scale)
         expected = (stacked - shift[:, :, None]) / scale[:, :, None]
-        cov = build_covariates(panel, LmaConfig(window_len=w, horizon=p))
+        cov = assemble_covariates(panel, LmaConfig(window_len=w, horizon=p), p)
         assert cov.channels.tobytes() == expected.tobytes()
 
     def test_standardization_over_training_range(self):
@@ -212,7 +212,7 @@ class TestCovariatePanel:
         rng = np.random.default_rng(9)
         panel = small_panel(rng)
         cfg = LmaConfig(window_len=10, horizon=5)
-        cov = build_covariates(panel, cfg)
+        cov = assemble_covariates(panel, cfg, cfg.horizon)
         n = panel.n_steps
         assert cov.channels.shape == (3, 2, n + 5)
         train = cov.channels[:, :, :n]
@@ -220,21 +220,35 @@ class TestCovariatePanel:
         np.testing.assert_allclose(train.std(axis=2), 1.0, rtol=1e-12)
 
     def test_standardization_recovers_raw(self):
-        """shift + scale * standardized reproduces the unstandardized channels."""
+        """shift + scale * standardized reproduces the unstandardized channels,
+        with shift and scale their training-range mean and population std."""
         rng = np.random.default_rng(10)
         panel = small_panel(rng)
         cfg = LmaConfig(window_len=8, horizon=4)
-        raw = build_covariates(panel, LmaConfig(window_len=8, horizon=4, standardize=False))
-        std = build_covariates(panel, cfg)
-        rebuilt = std.shift[:, :, None] + std.scale[:, :, None] * std.channels
+        raw = assemble_covariates(panel, LmaConfig(window_len=8, horizon=4, standardize=False), 4)
+        std = assemble_covariates(panel, cfg, 4)
+        train = raw.channels[:, :, : panel.n_steps]
+        shift, scale = train.mean(axis=2), train.std(axis=2)
+        rebuilt = shift[:, :, None] + scale[:, :, None] * std.channels
         np.testing.assert_allclose(rebuilt, raw.channels, rtol=1e-12, atol=1e-9)
 
     def test_zero_variance_channel_becomes_zero(self):
         """A constant series gives zero-variance channels, standardized to all zeros."""
         panel = SeriesPanel(("flat",), dt.date(2021, 1, 1), np.full((1, 20), 42.0))
-        cov = build_covariates(panel, LmaConfig(window_len=6, horizon=3))
+        cov = assemble_covariates(panel, LmaConfig(window_len=6, horizon=3), 3)
         np.testing.assert_array_equal(cov.channels, np.zeros_like(cov.channels))
-        np.testing.assert_array_equal(cov.scale, np.ones_like(cov.scale))
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_overflowing_panel_is_one_error(self, standardize):
+        """Values whose window sums overflow float64 raise one LmaError naming
+        the panel's largest value, and numpy emits no warning."""
+        panel = SeriesPanel(("a", "b"), dt.date(2021, 1, 1), np.full((2, 20), 1e308))
+        cfg = LmaConfig(window_len=6, horizon=3, standardize=standardize)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(LmaError, match=r"values up to 1e\+308 are too large"):
+                assemble_covariates(panel, cfg, 3)
+        assert caught == []
 
     def test_day_of_week_channel(self):
         """Weekday channel is 7-periodic, spans [-1, 1], starts at the start date's weekday."""
@@ -288,7 +302,7 @@ class TestCovariatePanel:
         """The inspection CSV carries every channel value round-trip exact."""
         rng = np.random.default_rng(14)
         panel = small_panel(rng, n_series=2, n_steps=15)
-        cov = build_covariates(panel, LmaConfig(window_len=5, horizon=2))
+        cov = assemble_covariates(panel, LmaConfig(window_len=5, horizon=2), 2)
         path = str(tmp_path / "cov.csv")
         export_covariates(cov, path)
         with open(path) as fh:

@@ -63,6 +63,13 @@ class TestSeriesPanel:
         with pytest.raises(PanelError):
             SeriesPanel(("a",), "2021-01-01", [[1.0]])
 
+    def test_last_day_must_fit_the_calendar(self):
+        """A panel whose last day would be past date.max is a PanelError, not an
+        OverflowError from dates()."""
+        with pytest.raises(PanelError, match="run past 9999-12-31"):
+            SeriesPanel(("a",), dt.date.max, np.zeros((1, 2)))
+        assert SeriesPanel(("a",), dt.date.max, np.zeros((1, 1))).dates() == (dt.date.max,)
+
     def test_duplicate_ids_are_listed_sorted(self):
         """The error names every duplicated id once, in sorted order."""
         ids = ("c", "b", "a", "c", "d", "b", "c")

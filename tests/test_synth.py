@@ -148,3 +148,14 @@ class TestValidation:
         for kw in bad:
             with pytest.raises(SynthConfigError):
                 generate_panel(SynthConfig(**kw))
+
+    def test_last_day_must_fit_the_calendar(self):
+        """A start date whose n_total-th day is past date.max is a config error;
+        one that ends exactly on date.max is a panel."""
+        with pytest.raises(SynthConfigError, match="leaves no room for 212 days"):
+            SynthConfig(start_date=dt.date(9999, 10, 1))
+        last_start = dt.date.max - dt.timedelta(days=9)
+        with pytest.raises(SynthConfigError):
+            SynthConfig(n_series=1, n_total=11, start_date=last_start)
+        panel = generate_panel(SynthConfig(n_series=1, n_total=10, start_date=last_start))
+        assert panel.dates()[-1] == dt.date.max
