@@ -99,7 +99,14 @@ def holt_winters(train: np.ndarray, cfg: HoltWintersConfig, horizon: int) -> np.
     if horizon < 1:
         raise BaselineError(f"horizon must be >= 1, got {horizon}")
     values = _check_train(train, 2 * cfg.season, "holt_winters")
-    level, trend, seasonal, _ = _smoothing_pass(values, cfg)
+    # Values near the float64 limit overflow the smoothing state; the check
+    # below reports that once, in place of numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        level, trend, seasonal, _ = _smoothing_pass(values, cfg)
+    if not np.isfinite([level, trend, *seasonal]).all():
+        raise BaselineError(
+            f"train values up to {values.max():g} are too large for the smoothing state"
+        )
     n = values.size
     m = cfg.season
     steps = np.arange(1, horizon + 1)

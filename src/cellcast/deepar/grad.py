@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .network import DEFAULT_SIGMA_FLOOR, gaussian_nll, input_rows, lstm_cell, sigmoid, softplus
-from .params import NetworkParams
+from .params import LayerParams, NetworkParams
 
 __all__ = ["batch_buffers", "batch_loss_and_grad"]
 
@@ -116,11 +116,7 @@ def _backward_batch(
             d_b[idx] += da.sum(axis=0)
             dh_next[idx] = da @ layer.wh
             dx_above = da @ layer.wx if idx > 0 else None
-    arrays: list[np.ndarray] = []
-    for idx in range(n_layers):
-        arrays.extend((d_wx[idx], d_wh[idx], d_b[idx]))
-    arrays.extend((d_head_w, d_head_b))
-    return params.with_arrays(arrays)
+    return NetworkParams(tuple(map(LayerParams, d_wx, d_wh, d_b)), d_head_w, d_head_b)
 
 
 def batch_loss_and_grad(

@@ -114,7 +114,15 @@ def series_scale(conditioning: np.ndarray) -> np.float64 | np.ndarray:
         raise ValueError("non-finite values in conditioning range")
     if np.any(values < 0):
         raise ValueError("negative values in conditioning range")
-    return 1.0 + np.mean(values, axis=-1)
+    # Values near the float64 limit overflow the sum; the check below
+    # reports that once, in place of numpy's warning.
+    with np.errstate(over="ignore"):
+        scale = 1.0 + np.mean(values, axis=-1)
+    if not np.all(np.isfinite(scale)):
+        raise ValueError(
+            f"conditioning values up to {values.max():g} are too large for the series scale"
+        )
+    return scale
 
 
 def cut_windows(

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["LayerParams", "NetworkParams", "init_params"]
+__all__ = ["LayerParams", "NetworkParams", "array_names", "init_params"]
 
 WEIGHT_INIT_SPAN = 0.08
 FORGET_GATE_BIAS = 1.0
@@ -122,16 +122,19 @@ class NetworkParams:
     def to_vector(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.arrays()])
 
+    @classmethod
+    def from_arrays(cls, arrays: list[np.ndarray]) -> "NetworkParams":
+        """Inverse of arrays(): the network whose arrays() these are."""
+        *layer_arrays, head_w, head_b = arrays
+        layers = (LayerParams(*layer_arrays[i : i + 3]) for i in range(0, len(layer_arrays), 3))
+        return cls(tuple(layers), head_w, head_b)
+
     def with_arrays(self, arrays: list[np.ndarray]) -> "NetworkParams":
         """Rebuild with the same shapes from arrays in canonical order."""
         expected = self.arrays()
         if len(arrays) != len(expected):
             raise ValueError(f"expected {len(expected)} arrays, got {len(arrays)}")
-        layers = []
-        for idx in range(self.num_layers):
-            wx, wh, b = arrays[3 * idx : 3 * idx + 3]
-            layers.append(LayerParams(wx, wh, b))
-        return NetworkParams(tuple(layers), arrays[-2], arrays[-1])
+        return self.from_arrays(arrays)
 
     def from_vector(self, vec: np.ndarray) -> "NetworkParams":
         vec = np.asarray(vec, dtype=np.float64)
@@ -151,6 +154,12 @@ class NetworkParams:
             layer.wx_t.setflags(write=False)
             layer.wh_t.setflags(write=False)
         return self
+
+
+def array_names(num_layers: int) -> list[str]:
+    """The model file's name for each array of ``NetworkParams.arrays()``, in that order."""
+    layers = [f"layer{idx}.{name}" for idx in range(num_layers) for name in ("wx", "wh", "b")]
+    return [*layers, "head_w", "head_b"]
 
 
 def init_params(

@@ -6,8 +6,9 @@ Layout, all integers little-endian unsigned 64-bit:
     bytes 16..23  format version
     bytes 24..31  header length in bytes
     header        UTF-8 JSON with sorted keys: train_config, lma_config
-                  (or null), epoch_nll, and an ordered array manifest of
-                  {name, shape} entries
+                  (or null), epoch_nll, and an array manifest of
+                  {name, shape} entries in NetworkParams.arrays() order,
+                  named by params.array_names
     payload       the manifest's arrays, concatenated as little-endian
                   float64 in C order
 
@@ -27,45 +28,36 @@ import numpy as np
 
 from .._fields import from_json, to_json
 from ..lma import LmaConfig
-from .params import LayerParams, NetworkParams
-from .training import MODEL_FORMAT_VERSION, TrainConfig, TrainedModel
+from .params import NetworkParams, array_names
+from .training import TrainConfig, TrainedModel
 
 __all__ = ["MODEL_FORMAT_VERSION", "ModelStoreError", "load_model", "save_model"]
 
 MAGIC = b"CELLCASTMODEL\x00\x00\x00"
+MODEL_FORMAT_VERSION = 1
 
 
 class ModelStoreError(ValueError):
     """Unreadable, corrupt, or version-incompatible model file."""
 
 
-def _array_manifest(params: NetworkParams) -> list[tuple[str, np.ndarray]]:
-    entries: list[tuple[str, np.ndarray]] = []
-    for idx, layer in enumerate(params.layers):
-        entries.append((f"layer{idx}.wx", layer.wx))
-        entries.append((f"layer{idx}.wh", layer.wh))
-        entries.append((f"layer{idx}.b", layer.b))
-    entries.append(("head_w", params.head_w))
-    entries.append(("head_b", params.head_b))
-    return entries
-
-
 def save_model(model: TrainedModel, path: str) -> None:
-    entries = _array_manifest(model.params)
+    arrays = model.params.arrays()
+    names = array_names(model.params.num_layers)
     lma = model.lma_config
     header = {
         "train_config": to_json(model.train_config),
         "lma_config": to_json(lma) if lma is not None else None,
         "epoch_nll": list(model.epoch_nll),
-        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in entries],
+        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in zip(names, arrays)],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<Q", model.format_version))
+        fh.write(struct.pack("<Q", MODEL_FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for _, a in entries:
+        for a in arrays:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
@@ -124,17 +116,13 @@ def load_model(path: str) -> TrainedModel:
             raise ValueError(f"array {name} missing from manifest")
         return arrays.pop(name)
 
+    n_layers = 0
+    while f"layer{n_layers}.wx" in arrays:
+        n_layers += 1
     try:
-        layers = []
-        idx = 0
-        while f"layer{idx}.wx" in arrays:
-            layers.append(
-                LayerParams(take(f"layer{idx}.wx"), take(f"layer{idx}.wh"), take(f"layer{idx}.b"))
-            )
-            idx += 1
-        params = NetworkParams(tuple(layers), take("head_w"), take("head_b"))
+        params = NetworkParams.from_arrays([take(name) for name in array_names(n_layers)])
         if arrays:
             raise ValueError(f"unexpected arrays in file: {sorted(arrays)}")
-        return TrainedModel(params.freeze(), train_config, lma_config, epoch_nll, int(version))
+        return TrainedModel(params.freeze(), train_config, lma_config, epoch_nll)
     except ValueError as exc:
         raise ModelStoreError(f"{path}: corrupt model file: {exc}") from exc

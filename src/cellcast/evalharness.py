@@ -23,7 +23,7 @@ import numpy as np
 from ._fields import hashed_json, to_json
 from ._fork import in_halves
 from .baselines import HoltWintersConfig, holt_winters, seasonal_naive
-from .deepar import Forecast, TrainedModel, point_forecast, sample_forecast
+from .deepar import MODEL_FORMAT_VERSION, Forecast, TrainedModel, point_forecast, sample_forecast
 from .deepar.forecasting import ROUND_GROUPS, group_size
 from .lma import assemble_covariates
 from .panel import SeriesPanel, SplitSpec, split_panel, write_step_table
@@ -202,7 +202,7 @@ class TrainedModelForecaster:
             "statistic": self.statistic,
             "train_config": to_json(self.model.train_config),
             "lma_config": to_json(lma) if lma is not None else None,
-            "format_version": self.model.format_version,
+            "format_version": MODEL_FORMAT_VERSION,
             "epoch_nll": list(self.model.epoch_nll),
         }
 

@@ -397,6 +397,54 @@ class TestErrors:
                 "error: panel values up to 1e+308 are too large for their moving statistics\n"
             )
 
+    def test_overflowing_series_scale_is_one_error_line(self, tmp_path, capsys):
+        """The channel-free network's series scale overflows on the same panel:
+        training, a sweep that trains it, and a forecast from a trained model
+        each end in one error line naming the cause, with no numpy warning."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        assert run_cli("train", base_overrides(tmp_path), "--no-lma") == 0
+        huge = base_overrides(tmp_path, **{"synth.base_level": "1e308"})
+        assert run_cli("generate", huge) == 0
+        capsys.readouterr()
+        runs = [
+            ("train", huge, ["--no-lma"]),
+            ("sweep", dict(huge, **{"sweep.models": '["deepar"]'}), []),
+            ("forecast", huge, []),
+        ]
+        for command, overrides, flags in runs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run_cli(command, overrides, *flags) == 1
+            assert caught == []
+            assert capsys.readouterr().err == (
+                "error: conditioning values up to 1e+308 are too large for the series scale\n"
+            )
+
+    def test_overflowing_holt_winters_fails_alone(self, tmp_path, capsys):
+        """Holt-Winters' smoothing state overflows on the same panel: the sweep
+        records one BaselineError naming the cause, with no numpy warning,
+        and finishes with the other model."""
+        ov = base_overrides(
+            tmp_path,
+            **{
+                "synth.base_level": "1e308",
+                "sweep.models": '["seasonal_naive","holt_winters"]',
+            },
+        )
+        assert run_cli("generate", ov) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("sweep", ov) == 0
+        assert caught == []
+        failed = [
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("model ")
+        ]
+        assert failed == [
+            "model holt_winters failed: BaselineError: train values up to 1e+308"
+            " are too large for the smoothing state"
+        ]
+
     @pytest.mark.parametrize(
         "command, name, error, message",
         [

@@ -34,7 +34,6 @@ from cellcast import (
     train,
 )
 from cellcast.deepar import (
-    MODEL_FORMAT_VERSION,
     LayerParams,
     ModelStoreError,
     batch_loss_and_grad,
@@ -986,7 +985,6 @@ class TestModelStore:
         assert loaded.train_config == model.train_config
         assert loaded.lma_config == model.lma_config
         assert loaded.epoch_nll == model.epoch_nll
-        assert loaded.format_version == MODEL_FORMAT_VERSION
 
     def test_forecast_survives_round_trip(self, tmp_path):
         """A reloaded model reproduces forecasts bit-exactly."""
@@ -1043,13 +1041,18 @@ class TestModelStore:
             ("lma_config", "standardize", "true"),
             ("train_config", "hidden_size", 40),
             ("train_config", "num_layers", 3),
+            ("lma_config", "features", ["mean"]),
+            ("train_config", "day_of_week", True),
+            ("lma_config", "horizon", 5),
         ],
     )
     def test_rejects_header_field_of_wrong_type(self, tmp_path, section, key, value):
         """A header config value of the wrong type is a corrupt file, not a
         TypeError later in forecasting; so is a layer count or hidden size
         that disagrees with the arrays, which would otherwise load and be
-        reported as the network's size in every provenance file."""
+        reported as the network's size in every provenance file, and an LMA
+        recipe whose channel count or horizon disagrees with the network,
+        which would otherwise load and fail only when it forecasts."""
         _, path, _ = self.trained(tmp_path, with_lma=True)
         blob = open(path, "rb").read()
         (header_len,) = struct.unpack("<Q", blob[24:32])

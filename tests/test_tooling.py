@@ -96,6 +96,29 @@ def test_only_fork_module_forks():
     assert offenders == []
 
 
+def test_only_store_states_the_model_file_version():
+    """The model file's version is the store's fact, so no other module
+    assigns MODEL_FORMAT_VERSION."""
+    package = os.path.join(ROOT, "src", "cellcast")
+    owners = []
+    for folder, _, files in os.walk(package):
+        for name in files:
+            path = os.path.join(folder, name)
+            if not name.endswith(".py"):
+                continue
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    if any(
+                        isinstance(t, ast.Name) and t.id == "MODEL_FORMAT_VERSION"
+                        for t in targets
+                    ):
+                        owners.append(os.path.relpath(path, ROOT))
+    assert owners == [os.path.join("src", "cellcast", "deepar", "store.py")]
+
+
 def test_artifact_digests_script_names_every_artifact(tmp_path):
     """scripts/artifact_digests.py runs the whole pipeline and prints one
     sha256 line per artifact and sidecar, 21 in all, sorted by name."""
