@@ -5,7 +5,8 @@ annotations, so each field's type is a string such as ``"int"`` or
 ``"tuple[float, float]"``.  Those strings are the one type ledger: they
 decide how a field is written to JSON (tuples as lists, dates as ISO
 strings), how it is read back, and which values ``check_field_types``
-accepts.  ``bool`` is not an ``int`` here, and neither is ``2.5``.
+accepts.  ``bool`` is not an ``int`` here, and neither is ``2.5``.  A date
+is read by ``parse_date`` alone, as exactly ``YYYY-MM-DD``.
 
 ``hashed_json`` gives every provenance file, which embeds these JSON forms,
 its content hash and its bytes.
@@ -17,9 +18,10 @@ import datetime as dt
 import hashlib
 import json
 import numbers
+import re
 from dataclasses import fields
 
-__all__ = ["check_field_types", "from_json", "hashed_json", "to_json"]
+__all__ = ["check_field_types", "check_list", "from_json", "hashed_json", "parse_date", "to_json"]
 
 # annotation -> (accepts a value, singular description, plural description)
 _SCALARS = {
@@ -37,6 +39,32 @@ _SCALARS = {
     "str": (lambda v: isinstance(v, str), "a string", "strings"),
     "dt.date": (lambda v: isinstance(v, dt.date), "an ISO date (YYYY-MM-DD)", "dates"),
 }
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text: str) -> dt.date:
+    """``text`` as a date when it is exactly ``YYYY-MM-DD``, else ValueError.
+
+    ``date.fromisoformat`` alone also takes ``20210101`` and ``2021-W01-5``
+    from Python 3.11 on, so what it accepts would depend on the Python version.
+    """
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return dt.date.fromisoformat(text)
+        except ValueError:
+            pass
+    raise ValueError(f"bad date {text!r} (want YYYY-MM-DD)")
+
+
+def check_list(value, kind: str, name: str) -> tuple:
+    """``value`` as a tuple when it is a list of ``kind`` values (a key of the
+    scalar ledger, ``"int"`` or ``"float"``), else ValueError naming ``name``."""
+    accepts, _, plural = _SCALARS[kind]
+    if not isinstance(value, list) or not all(accepts(v) for v in value):
+        raise ValueError(f"{name} must be a list of {plural}, got {value!r}")
+    return tuple(value)
 
 
 def _items(annotation: str) -> list[str] | None:
@@ -78,7 +106,7 @@ def from_json(cls, raw: dict):
             kwargs[f.name] = tuple(value)
         elif f.type == "dt.date" and isinstance(value, str):
             try:
-                kwargs[f.name] = dt.date.fromisoformat(value)
+                kwargs[f.name] = parse_date(value)
             except ValueError:
                 raise ValueError(f"{f.name} must be {_SCALARS[f.type][1]}, got {value!r}") from None
     return cls(**kwargs)

@@ -1,9 +1,12 @@
 """Reference forecasters: seasonal naive and additive Holt-Winters.
 
-Both are pure functions of the training values.  Holt-Winters runs the
-classic additive level/trend/seasonal recursions with fixed smoothing
-coefficients; there is no likelihood fitting.  Negative forecasts are
-possible (additive model) and are left to the evaluation layer to clamp.
+Both are pure functions of the training values, given as one series ``(n,)``
+or as a ``(series, steps)`` matrix; every row is forecast on its own, along
+the last axis, and a matrix's rows equal the per-series calls bit for bit.
+Holt-Winters runs the classic additive level/trend/seasonal recursions with
+fixed smoothing coefficients; there is no likelihood fitting.  Negative
+forecasts are possible (additive model) and are left to the evaluation layer
+to clamp.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ class BaselineError(ValueError):
 
 def _check_train(train: np.ndarray, min_len: int, what: str) -> np.ndarray:
     values = np.asarray(train, dtype=np.float64)
-    if values.ndim != 1:
-        raise BaselineError("train must be a 1-D sequence")
-    if values.size < min_len:
+    if values.ndim == 0:
+        raise BaselineError("train must be a series or a (series, steps) matrix")
+    if values.shape[-1] < min_len:
         raise BaselineError(
-            f"train has {values.size} values, {what} needs at least {min_len}"
+            f"train has {values.shape[-1]} values, {what} needs at least {min_len}"
         )
     if not np.all(np.isfinite(values)):
         raise BaselineError("non-finite values in train")
@@ -41,9 +44,9 @@ def seasonal_naive(train: np.ndarray, season: int, horizon: int) -> np.ndarray:
     if horizon < 1:
         raise BaselineError(f"horizon must be >= 1, got {horizon}")
     values = _check_train(train, season, "seasonal_naive")
-    n = values.size
+    n = values.shape[-1]
     steps = np.arange(horizon)
-    return values[n - season + (steps % season)].copy()
+    return values[..., n - season + steps % season]
 
 
 @dataclass(frozen=True)
@@ -65,33 +68,31 @@ class HoltWintersConfig:
 
 def _smoothing_pass(
     values: np.ndarray, cfg: HoltWintersConfig
-) -> tuple[float, float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Initialize from the first two seasons, then run the recursions.
 
-    Returns the final level and trend, the seasonal state (indexed by
-    phase t mod season), and the one-step-ahead fitted values for the
-    smoothed range (positions season..n-1).
+    Returns, per row, the final level and trend, the seasonal state (indexed
+    by phase t mod season) and the one-step-ahead fitted values for the
+    smoothed range (positions season..n-1).  The recursion runs once over
+    time for every row at once.
     """
     m = cfg.season
-    first = values[:m]
-    second = values[m : 2 * m]
-    level = float(np.mean(first))
-    trend = (float(np.mean(second)) - float(np.mean(first))) / m
-    seasonal = first - float(np.mean(first))
-    seasonal = seasonal.astype(np.float64)
-    fitted = np.empty(values.size - m)
-    for t in range(m, values.size):
+    n = values.shape[-1]
+    first = values[..., :m]
+    level = np.mean(first, axis=-1)
+    trend = (np.mean(values[..., m : 2 * m], axis=-1) - level) / m
+    # time-major copies: each step reads and writes one contiguous row
+    by_time = np.moveaxis(values, -1, 0).copy()
+    seasonal = np.moveaxis(first - level[..., None], -1, 0).copy()
+    fitted = np.empty((n - m, *values.shape[:-1]))
+    for t in range(m, n):
         phase = t % m
         fitted[t - m] = level + trend + seasonal[phase]
         prev_level = level
-        level = cfg.alpha * (values[t] - seasonal[phase]) + (1.0 - cfg.alpha) * (
-            level + trend
-        )
+        level = cfg.alpha * (by_time[t] - seasonal[phase]) + (1.0 - cfg.alpha) * (level + trend)
         trend = cfg.beta * (level - prev_level) + (1.0 - cfg.beta) * trend
-        seasonal[phase] = cfg.gamma * (values[t] - level) + (1.0 - cfg.gamma) * seasonal[
-            phase
-        ]
-    return level, trend, seasonal, fitted
+        seasonal[phase] = cfg.gamma * (by_time[t] - level) + (1.0 - cfg.gamma) * seasonal[phase]
+    return level, trend, np.moveaxis(seasonal, 0, -1), np.moveaxis(fitted, 0, -1)
 
 
 def holt_winters(train: np.ndarray, cfg: HoltWintersConfig, horizon: int) -> np.ndarray:
@@ -103,11 +104,12 @@ def holt_winters(train: np.ndarray, cfg: HoltWintersConfig, horizon: int) -> np.
     # below reports that once, in place of numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         level, trend, seasonal, _ = _smoothing_pass(values, cfg)
-    if not np.isfinite([level, trend, *seasonal]).all():
+    if not all(np.isfinite(a).all() for a in (level, trend, seasonal)):
         raise BaselineError(
             f"train values up to {values.max():g} are too large for the smoothing state"
         )
-    n = values.size
-    m = cfg.season
+    n = values.shape[-1]
     steps = np.arange(1, horizon + 1)
-    return level + steps * trend + seasonal[(n + steps - 1) % m]
+    return (
+        level[..., None] + steps * trend[..., None] + seasonal[..., (n + steps - 1) % cfg.season]
+    )

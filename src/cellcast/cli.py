@@ -14,6 +14,7 @@ a run can be reproduced exactly; nothing written depends on wall-clock time.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -174,6 +175,9 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _load_point_forecast(path: str, series_ids: tuple[str, ...], max_step: int) -> np.ndarray:
     def parse_step(text: str) -> int:
+        # int() would also take "1_0", " 1", "+1" and non-ASCII digits
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise ValueError(f"bad step {text!r}")
         step = int(text)
         if not 1 <= step <= max_step:
             raise ValueError(f"step {step} outside the {max_step}-day test range")
@@ -201,7 +205,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _, test_panel = split_panel(panel, split)
     pred = _load_point_forecast(cfg.path("forecast_point"), panel.series_ids, split.horizon)
     steps = tuple(range(1, pred.shape[1] + 1))
-    pooled, stability, _ = score_steps(test_panel.values, pred, steps)
+    pooled, stability = score_steps(test_panel.values, pred, steps)
     out = cfg.path("metrics")
     write_step_table(out, ("step", "pooled_rmsle", "stability_std"), steps, (pooled, stability))
     _write_sidecar(out, "evaluate", cfg)

@@ -26,7 +26,7 @@ import struct
 
 import numpy as np
 
-from .._fields import from_json, to_json
+from .._fields import check_list, from_json, to_json
 from ..lma import LmaConfig
 from .params import NetworkParams, array_names
 from .training import TrainConfig, TrainedModel
@@ -96,8 +96,11 @@ def load_model(path: str) -> TrainedModel:
             lma_config = None
             if header["lma_config"] is not None:
                 lma_config = from_json(LmaConfig, header["lma_config"])
-            epoch_nll = tuple(float(v) for v in header["epoch_nll"])
-            manifest = [(e["name"], tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
+            epoch_nll = tuple(float(v) for v in check_list(header["epoch_nll"], "float", "epoch_nll"))
+            manifest = [
+                (e["name"], check_list(e["shape"], "int", f"shape of {e['name']}"))
+                for e in header["arrays"]
+            ]
             if any(d < 0 for _, shape in manifest for d in shape):
                 raise ValueError("negative array dimension in manifest")
         except (KeyError, TypeError, ValueError) as exc:

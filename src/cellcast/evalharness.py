@@ -99,11 +99,11 @@ def stability_std(per_series_rmsle: np.ndarray) -> float:
 
 def score_steps(
     actual: np.ndarray, predicted: np.ndarray, steps: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Score each step s on the first s days, predictions clamped at 0 first.
 
-    Returns the pooled RMSLE and the stability std, each (n_steps,), and the
-    per-series RMSLE, (n_series, n_steps).
+    Returns the pooled RMSLE curve and the stability curve (the std of the
+    per-series RMSLE), each (n_steps,).
     """
     width = max(steps, default=0)
     actual = np.asarray(actual, dtype=np.float64)[:, :width]
@@ -111,14 +111,12 @@ def score_steps(
     squared = _squared_log_errors(actual, predicted)
     pooled = np.empty(len(steps))
     stability = np.empty(len(steps))
-    per_series = np.empty((actual.shape[0], len(steps)))
     for k, s in enumerate(steps):
         # the same reductions as rmsle_per_series and rmsle_pooled on [:, :s]
         row_means = np.mean(squared[:, :s], axis=1)
-        per_series[:, k] = rows = np.sqrt(row_means)
         pooled[k] = np.sqrt(np.mean(row_means))
-        stability[k] = stability_std(rows)
-    return pooled, stability, per_series
+        stability[k] = stability_std(np.sqrt(row_means))
+    return pooled, stability
 
 
 class Forecaster(Protocol):
@@ -214,11 +212,7 @@ class SeasonalNaiveForecaster:
     def forecast_panel(
         self, train_panel: SeriesPanel, horizon: int, seed_ids: tuple[int, ...] = (0,)
     ) -> np.ndarray:
-        values = train_panel.values
-        out = np.empty((train_panel.n_series, horizon))
-        for i in range(train_panel.n_series):
-            out[i] = seasonal_naive(values[i], self.season, horizon)
-        return out
+        return seasonal_naive(train_panel.values, self.season, horizon)
 
     def describe(self) -> dict:
         return {"kind": "seasonal_naive", "season": self.season}
@@ -231,11 +225,7 @@ class HoltWintersForecaster:
     def forecast_panel(
         self, train_panel: SeriesPanel, horizon: int, seed_ids: tuple[int, ...] = (0,)
     ) -> np.ndarray:
-        values = train_panel.values
-        out = np.empty((train_panel.n_series, horizon))
-        for i in range(train_panel.n_series):
-            out[i] = holt_winters(values[i], self.config, horizon)
-        return out
+        return holt_winters(train_panel.values, self.config, horizon)
 
     def describe(self) -> dict:
         return {"kind": "holt_winters", **to_json(self.config)}
@@ -243,14 +233,14 @@ class HoltWintersForecaster:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Sweep result: per-model pooled and stability curves over the steps."""
+    """Sweep result, exactly what the report files hold: per-model pooled and
+    stability curves over the steps (read-only, one row per model that ran),
+    the models that failed, and the provenance payload."""
 
     steps: tuple[int, ...]
     models: tuple[str, ...]
-    series_ids: tuple[str, ...]
     pooled: np.ndarray
     stability: np.ndarray
-    per_series: np.ndarray
     failures: dict[str, str]
     provenance: dict
 
@@ -259,25 +249,18 @@ class EvalReport:
         models = tuple(str(m) for m in self.models)
         pooled = np.asarray(self.pooled, dtype=np.float64)
         stability = np.asarray(self.stability, dtype=np.float64)
-        per_series = np.asarray(self.per_series, dtype=np.float64)
-        n_models, n_steps, n_series = len(models), len(steps), len(self.series_ids)
-        if pooled.shape != (n_models, n_steps) or stability.shape != (n_models, n_steps):
+        if pooled.shape != (len(models), len(steps)) or stability.shape != pooled.shape:
             raise EvalError("pooled and stability must be (n_models, n_steps)")
-        if per_series.shape != (n_models, n_series, n_steps):
-            raise EvalError("per_series must be (n_models, n_series, n_steps)")
-        for name, m in (("pooled", pooled), ("stability", stability), ("per_series", per_series)):
+        for name, m in (("pooled", pooled), ("stability", stability)):
             if not np.all(np.isfinite(m)):
                 raise EvalError(f"non-finite values in {name}")
             if np.any(m < 0):
                 raise EvalError(f"negative values in {name}")
-        for a in (pooled, stability, per_series):
-            a.setflags(write=False)
+            m.setflags(write=False)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "models", models)
-        object.__setattr__(self, "series_ids", tuple(str(s) for s in self.series_ids))
         object.__setattr__(self, "pooled", pooled)
         object.__setattr__(self, "stability", stability)
-        object.__setattr__(self, "per_series", per_series)
         object.__setattr__(self, "failures", dict(self.failures))
         object.__setattr__(self, "provenance", dict(self.provenance))
 
@@ -321,7 +304,6 @@ def sweep(
     ok_names: list[str] = []
     pooled_rows: list[np.ndarray] = []
     stability_rows: list[np.ndarray] = []
-    per_series_blocks: list[np.ndarray] = []
     failures: dict[str, str] = {}
     for name, forecaster in models.items():
         try:
@@ -333,14 +315,12 @@ def sweep(
                 raise EvalError(
                     f"expected forecasts of shape ({n_series}, {max_step}), got {pred.shape}"
                 )
-            pooled, stab, per_series = score_steps(actual, pred, steps)
+            pooled, stab = score_steps(actual, pred, steps)
             ok_names.append(name)
             pooled_rows.append(pooled)
             stability_rows.append(stab)
-            per_series_blocks.append(per_series)
         except Exception as exc:  # noqa: BLE001 - per-model isolation is the contract
             failures[name] = f"{type(exc).__name__}: {exc}"
-    shape3 = (len(ok_names), n_series, len(steps))
     provenance = {
         "seed": int(seed),
         "steps": list(steps),
@@ -352,10 +332,8 @@ def sweep(
     return EvalReport(
         steps=steps,
         models=tuple(ok_names),
-        series_ids=panel.series_ids,
         pooled=np.array(pooled_rows).reshape(len(ok_names), len(steps)),
         stability=np.array(stability_rows).reshape(len(ok_names), len(steps)),
-        per_series=np.array(per_series_blocks).reshape(shape3),
         failures=failures,
         provenance=provenance,
     )

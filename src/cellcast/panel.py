@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._fields import check_field_types
+from ._fields import check_field_types, parse_date
 
 __all__ = [
     "PanelError", "SeriesPanel", "SplitSpec", "load_panel", "read_long", "split_panel",
@@ -202,7 +202,9 @@ def read_long(
     raises ValueError with the reason.  Every rejected row raises ``error``
     with a ``PATH:LINE:`` prefix: a bad header, a wrong field count, an empty
     id, a bad key, a bad or non-finite value, a negative value when
-    ``nonnegative``, or a key seen twice for one id.
+    ``nonnegative``, or a key seen twice for one id.  A value is bad unless
+    ``float`` reads it and it is ASCII without ``_`` or surrounding
+    whitespace, which ``float`` would also take but no writer writes.
     """
     table: dict[str, dict[object, float]] = {}
     keys: dict[str, object] = {}
@@ -228,6 +230,8 @@ def read_long(
                 except ValueError as exc:
                     raise error(f"{path}:{reader.line_num}: {exc}") from None
             try:
+                if "_" in value_s or value_s != value_s.strip() or not value_s.isascii():
+                    raise ValueError(value_s)
                 value = float(value_s)
             except ValueError:
                 raise error(f"{path}:{reader.line_num}: bad value {value_s!r}") from None
@@ -242,13 +246,6 @@ def read_long(
     return table
 
 
-def _parse_date(text: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"bad date {text!r} (want YYYY-MM-DD)") from None
-
-
 def load_panel(path: str) -> SeriesPanel:
     """Read and validate a panel CSV.
 
@@ -256,7 +253,7 @@ def load_panel(path: str) -> SeriesPanel:
     gapless daily run, and all series must share the same start and end.
     A rejected row is named as ``PATH:LINE``; a rejected panel names the series.
     """
-    by_series = read_long(path, _HEADER, _parse_date, PanelError, nonnegative=True)
+    by_series = read_long(path, _HEADER, parse_date, PanelError, nonnegative=True)
     if not by_series:
         raise PanelError(f"{path}: no data rows")
 

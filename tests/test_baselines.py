@@ -1,5 +1,7 @@
 """Tests for the baseline forecasters."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ class TestSeasonalNaive:
         with pytest.raises(BaselineError):
             seasonal_naive(np.array([1.0, np.nan]), 1, 1)
         with pytest.raises(BaselineError):
-            seasonal_naive(np.ones((2, 2)), 1, 1)
+            seasonal_naive(np.float64(1.0), 1, 1)
 
 
 class TestHoltWinters:
@@ -126,3 +128,34 @@ class TestHoltWinters:
         with pytest.raises(BaselineError):
             HoltWintersConfig(season=0)
         HoltWintersConfig()
+
+
+class TestPanels:
+    def test_matrix_equals_stacked_rows(self):
+        """Both baselines forecast an (S, n) matrix row by row: the matrix call's
+        bytes equal those of the per-row calls stacked, for S = 1 and more, every
+        season from 1 up to n/2 and short horizons."""
+        rng = np.random.default_rng(74)
+        for _ in range(120):
+            n = int(rng.integers(2, 50))
+            season = int(rng.integers(1, n // 2 + 1))
+            horizon = int(rng.integers(1, 2 * season + 3))
+            train = rng.uniform(0.0, 500.0, (int(rng.integers(1, 6)), n))
+            got = seasonal_naive(train, season, horizon)
+            assert got.tobytes() == np.stack([seasonal_naive(r, season, horizon) for r in train]).tobytes()
+            cfg = HoltWintersConfig(
+                season=season, alpha=float(rng.random()), beta=float(rng.random()), gamma=float(rng.random())
+            )
+            got = holt_winters(train, cfg, horizon)
+            assert got.shape == (train.shape[0], horizon)
+            assert got.tobytes() == np.stack([holt_winters(r, cfg, horizon) for r in train]).tobytes()
+
+    def test_overflowing_matrix_is_one_error(self):
+        """One row too large for the smoothing state fails the whole matrix with
+        one BaselineError naming the largest value, and no numpy warning."""
+        train = np.full((3, 28), 10.0)
+        train[1] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BaselineError, match=r"^train values up to 1e\+308 are too large"):
+                holt_winters(train, HoltWintersConfig(), 5)

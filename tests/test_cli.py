@@ -229,7 +229,7 @@ class TestPipeline:
             samples = np.array([float(r[3]) for r in block]).reshape(5, 8).T
             assert samples.tobytes() == fc.samples.tobytes()
 
-        pooled, stability, _ = score_steps(test_panel.values, point, (1, 2, 3, 4, 5))
+        pooled, stability = score_steps(test_panel.values, point, (1, 2, 3, 4, 5))
         expected = ["step,pooled_rmsle,stability_std"]
         expected += [f"{s},{float(p)!r},{float(v)!r}" for s, p, v in zip(range(1, 6), pooled, stability)]
         expected.append(f"mean,{float(np.mean(pooled))!r},{float(np.mean(stability))!r}")
@@ -563,6 +563,30 @@ class TestErrors:
         assert run_cli("evaluate", ov) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {point}:2: step {step} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("step", ["0_1", " 1", "1 ", "+1", "\u0661"])
+    def test_evaluate_takes_ascii_digit_steps_only(self, tmp_path, capsys, step):
+        """A step is ASCII digits as the writer prints them; int() would also
+        read each of these as step 1.  The row is one error line."""
+        ov = base_overrides(tmp_path)
+        assert run_cli("generate", ov) == 0
+        capsys.readouterr()
+        point = tmp_path / "forecast_point.csv"
+        ids = load_panel(str(tmp_path / "panel.csv")).series_ids
+        rows = [f"{sid},{t},1.0\n" for sid in ids for t in range(1, 6)]
+        rows[0] = f"{ids[0]},{step},1.0\n"
+        point.write_text("series_id,step,value\n" + "".join(rows))
+        assert run_cli("evaluate", ov) == 1
+        assert capsys.readouterr().err == f"error: {point}:2: bad step {step!r}\n"
+
+    @pytest.mark.parametrize("date", ["20210101", "2021-W01-5"])
+    def test_start_date_must_be_yyyy_mm_dd(self, tmp_path, capsys, date):
+        """A configured date is exactly YYYY-MM-DD on every supported Python;
+        3.11's fromisoformat would read the first two as dates."""
+        assert run_cli("generate", base_overrides(tmp_path, **{"synth.start_date": f'"{date}"'})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "start_date" in err and err.count("\n") == 1
+        assert not (tmp_path / "panel.csv").exists()
 
     def test_forecast_past_model_horizon_is_one_error_line(self, tmp_path, capsys):
         ov = base_overrides(tmp_path)

@@ -1066,6 +1066,34 @@ class TestModelStore:
         with pytest.raises(ModelStoreError, match=key):
             load_model(bad)
 
+    @pytest.mark.parametrize(
+        "edit, phrase",
+        [
+            (lambda h: h.update(epoch_nll="12"), "epoch_nll must be a list of numbers"),
+            (lambda h: h.update(epoch_nll=[True, False]), "epoch_nll must be a list of numbers"),
+            (lambda h: h["arrays"][-1].update(shape="2"), "shape of head_b must be a list of integers"),
+            (lambda h: h["arrays"][-1].update(shape=[2.9]), "shape of head_b must be a list of integers"),
+        ],
+        ids=["nll-string", "nll-bools", "shape-string", "shape-float"],
+    )
+    def test_rejects_loss_curve_or_shape_of_wrong_type(self, tmp_path, edit, phrase):
+        """The loss curve must be a list of numbers and each array shape a list
+        of integers.  Anything else used to load through float() or int() and
+        save back as other bytes."""
+        _, path, _ = self.trained(tmp_path)
+        blob = open(path, "rb").read()
+        (header_len,) = struct.unpack("<Q", blob[24:32])
+        header = json.loads(blob[32 : 32 + header_len])
+        assert header["arrays"][-1]["name"] == "head_b"
+        edit(header)
+        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        bad = str(tmp_path / "typed.bin")
+        with open(bad, "wb") as fh:
+            fh.write(blob[:24] + struct.pack("<Q", len(new_header)) + new_header)
+            fh.write(blob[32 + header_len :])
+        with pytest.raises(ModelStoreError, match=f"^{bad}: corrupt header: {phrase}"):
+            load_model(bad)
+
     def test_rejects_lengths_past_the_end_of_the_file(self, tmp_path):
         """A length field or an array shape that claims more bytes than the file
         holds is a ModelStoreError, never an attempt to allocate them."""

@@ -138,10 +138,9 @@ class TestMetrics:
             steps = tuple(int(s) for s in np.flatnonzero(rng.random(h) < 0.6) + 1) or (h,)
             a = rng.uniform(0.0, 900.0, (n, h + int(rng.integers(0, 3))))
             p = rng.uniform(-50.0, 900.0, (n, steps[-1] + int(rng.integers(0, 2))))
-            pooled, stability, per_series = score_steps(a, p, steps)
+            pooled, stability = score_steps(a, p, steps)
             clamped = np.maximum(p, 0.0)
             rows = [rmsle_per_series(a[:, :s], clamped[:, :s]) for s in steps]
-            assert per_series.tobytes() == np.stack(rows, axis=1).tobytes()
             want = [rmsle_pooled(a[:, :s], clamped[:, :s]) for s in steps]
             assert pooled.tobytes() == np.array(want).tobytes()
             assert stability.tobytes() == np.array([stability_std(r) for r in rows]).tobytes()
@@ -216,7 +215,6 @@ class TestSweep:
         )
         np.testing.assert_array_equal(report.pooled, np.zeros((1, 3)))
         np.testing.assert_array_equal(report.stability, np.zeros((1, 3)))
-        np.testing.assert_array_equal(report.per_series, np.zeros((1, 6, 3)))
         assert report.models == ("oracle",)
         assert report.failures == {}
 
@@ -228,7 +226,6 @@ class TestSweep:
         full = sweep(naive, self.panel, self.split, steps=(2, 4, 5))
         np.testing.assert_array_equal(short.pooled, full.pooled[:, :2])
         np.testing.assert_array_equal(short.stability, full.stability[:, :2])
-        np.testing.assert_array_equal(short.per_series, full.per_series[:, :, :2])
 
     def test_pooled_column_matches_direct_metric(self):
         """The pooled matrix reproduces rmsle_pooled on the truncated forecasts."""
@@ -640,10 +637,8 @@ class TestEvalReportValidation:
             EvalReport(
                 steps=(1, 2),
                 models=("m",),
-                series_ids=("a",),
                 pooled=np.zeros((1, 3)),
                 stability=np.zeros((1, 2)),
-                per_series=np.zeros((1, 1, 2)),
                 failures={},
                 provenance={},
             )
@@ -651,10 +646,8 @@ class TestEvalReportValidation:
             EvalReport(
                 steps=(1,),
                 models=("m",),
-                series_ids=("a",),
                 pooled=np.array([[np.nan]]),
                 stability=np.zeros((1, 1)),
-                per_series=np.zeros((1, 1, 1)),
                 failures={},
                 provenance={},
             )

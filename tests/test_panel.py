@@ -231,3 +231,24 @@ class TestCsvRoundTrip:
         )
         p = load_panel(path)
         np.testing.assert_array_equal(p.values, [[1.5, 2.5]])
+
+    @pytest.mark.parametrize(
+        "row, phrase",
+        [
+            ("a,20210101,1.0", "bad date '20210101'"),
+            ("a,2021-W01-5,1.0", "bad date '2021-W01-5'"),
+            ("a,2021-01-01,1_5", "bad value '1_5'"),
+            ("a,2021-01-01, 1.5", "bad value ' 1.5'"),
+            ("a,2021-01-01,1.5 ", "bad value '1.5 '"),
+            ("a,2021-01-01,\u0661\u0665", "bad value"),
+        ],
+    )
+    def test_rejects_text_no_writer_writes(self, tmp_path, row, phrase):
+        """A date must be exactly YYYY-MM-DD, on every supported Python (3.11's
+        fromisoformat also reads 20210101 and ISO week dates), and a value must be
+        plain ASCII text without underscores or surrounding whitespace, which
+        float() would read.  Each is one PATH:LINE: error."""
+        path = self.write_lines(tmp_path, ["series_id,date,value", row])
+        with pytest.raises(PanelError, match=phrase) as excinfo:
+            load_panel(path)
+        assert str(excinfo.value).startswith(f"{path}:2: ")
