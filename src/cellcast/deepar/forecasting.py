@@ -3,14 +3,15 @@
 The conditioning pass and the sampling pass run the same network with the
 same parameter object.  A forecast first replays the last context_length
 conditioning steps from the all-zero state, then advances the trajectories
-in blocks of BLOCK_ROWS, all blocks in one call per step, each step drawing
-from the step's Gaussian and feeding the raw draw back as the next lag.
-A group of series runs through both passes together, stacked as
-(series, blocks, rows, features), one call per step for the whole group.
-Each trajectory owns an independent seed sub-stream, so the sample matrix
-does not depend on computation order, on how the series are grouped or on
-how many trajectories the caller asked for (a larger request extends the
-matrix row-wise).
+in blocks of BLOCK_ROWS, each step drawing from the step's Gaussian and
+feeding the raw draw back as the next lag.  One call encodes all of its
+series in one pass, stacked one row per series, then advances them
+``group_size(n_samples)`` series at a time, stacked as (series, blocks,
+rows, features), one call per step for a whole group, through one cell
+workspace.  Each trajectory owns an independent seed sub-stream, keyed for
+the whole call at once, so the sample matrix does not depend on computation
+order, on how the series are grouped or on how many trajectories the caller
+asked for (a larger request extends the matrix row-wise).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .._rng import substream
-from .network import advance, cut_windows, forward_window
+from .._rng import substreams
+from .network import CellWork, advance, cell_workspace, cut_windows, forward_window
 from .training import TrainedModel
 
 __all__ = [
@@ -41,12 +42,14 @@ POINT_STATISTICS = ("median", "mean")
 # keeps trajectory s bit-identical however many samples are requested.
 BLOCK_ROWS = 8
 
-# A group of series is sampled in one pass of at most this many blocks (one
-# series at least): 32 series at 1-8 samples, 2 at 100.  Each call costs a
+# The sampler advances a group of at most this many blocks at once (one
+# series at least): 32 series at 1-8 samples, 2 at 100.  Each step costs a
 # fixed Python dispatch, which stacking spreads over the group, while the
-# elementwise passes' temporaries grow with it.  On the benchmark 64 blocks
-# ran no faster than 32 and raised a forecast's peak memory further, and 12
-# ran slower.
+# cell workspace and the elementwise passes' memory traffic grow with it.
+# With the workspace, 32 blocks beat 16 and 64 both on a 5-series,
+# 100-sample forecast with the fork (medians 49-54 ms against 56-80 and
+# 57-60) and on 50 series x 100 samples (384-410 ms against 408-782 and
+# 414-505), two rounds each.
 GROUP_BLOCKS = 32
 
 # A panel is forecast in rounds of this many groups' worth of series, and
@@ -62,15 +65,14 @@ class ForecastError(ValueError):
 
 
 def _seed_ids(seed: int | tuple[int, ...]) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    if not isinstance(seed, tuple) or not all(
-        isinstance(v, (int, np.integer)) for v in seed
-    ):
+    ids = seed if isinstance(seed, tuple) else (seed,)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in ids):
         raise ForecastError(f"seed must be an int or a tuple of ints, got {seed!r}")
-    if not seed:
+    if not ids:
         raise ForecastError("seed tuple must be nonempty")
-    return tuple(int(v) for v in seed)
+    if any(v < 0 for v in ids):
+        raise ForecastError(f"seed ids must be non-negative, got {seed!r}")
+    return tuple(int(v) for v in ids)
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,16 @@ def sample_forecast(
     replays.  seed may be a tuple so callers can hand every series its own
     sub-stream; trajectory s always draws from stream (*seed, s).
 
-    A group of series of one length is sampled in one pass: conditioning
+    A group of series of one length is sampled in one call: conditioning
     (S, M), covariates (S, K, M + horizon) and seed a sequence of S seeds,
-    one per series.  The result is a ForecastGroup whose rows are
-    bit-identical to sampling each series alone.
+    one per series.  The encoder runs once over all S series and every
+    trajectory's noise is keyed in one pass; the sampler then advances
+    ``group_size(n_samples)`` series at a time.  The result is a
+    ForecastGroup whose rows are bit-identical to sampling each series
+    alone.
+
+    Seed ids must be non-negative ints (bools are not ids) and n_samples an
+    int >= 1; both are checked, with the other arguments, before any work.
     """
     conditioning = np.asarray(conditioning, dtype=np.float64)
     if conditioning.ndim == 1:
@@ -173,13 +181,13 @@ def _sample_group(
     seeds: Sequence[int | tuple[int, ...]],
 ) -> ForecastGroup:
     seeds = tuple(_seed_ids(s) for s in seeds)
+    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool) or n_samples < 1:
+        raise ForecastError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     cfg = model.train_config
     if horizon is None:
         horizon = cfg.horizon
     if horizon < 1:
         raise ForecastError(f"horizon must be >= 1, got {horizon}")
-    if n_samples < 1:
-        raise ForecastError(f"n_samples must be >= 1, got {n_samples}")
     n_series, m = conditioning.shape
     context = cfg.context_length
     if m < context:
@@ -218,28 +226,58 @@ def _sample_group(
     _, _, (enc_h, enc_c) = forward_window(z[:, :-1], x_enc, model.params, scales, cfg.sigma_floor)
 
     n_blocks = -(-n_samples // BLOCK_ROWS)
-    eps = np.zeros((n_series, n_blocks * BLOCK_ROWS, horizon))
-    for i, seed_ids in enumerate(seeds):
-        for s in range(n_samples):
-            eps[i, s] = substream(*seed_ids, s).standard_normal(horizon)
-    eps = eps.reshape(n_series, n_blocks, BLOCK_ROWS, horizon)
-    samples = np.empty_like(eps)
-    # Every block of every series advances in the same call, but stays its
-    # own (8, D) slice of the stacked matrix product, so each row sees the
-    # gemm it would see alone.  Flattening the blocks into one (rows, D)
-    # matrix would change how the products round.
-    state_shape = (model.params.num_layers, n_series, n_blocks, BLOCK_ROWS, model.params.hidden_size)
-    h = np.broadcast_to(enc_h[:, :, None, None, :], state_shape).copy()
-    c = np.broadcast_to(enc_c[:, :, None, None, :], state_shape).copy()
-    x = np.empty((n_series, n_blocks, BLOCK_ROWS, 1 + n_channels))
-    x[..., 0] = (z[:, -1] / scales)[:, None, None]
-    for t in range(horizon):
-        if n_channels:
-            x[..., 1:] = covariates[:, None, None, :, m + t]
-        mu, sigma = advance(x, h, c, model.params, cfg.sigma_floor)
-        samples[..., t] = x[..., 0] = mu + sigma * eps[..., t]
+    # each step's draws replace its noise, so the array ends as the samples
+    samples = _noise(seeds, n_samples, n_blocks * BLOCK_ROWS, horizon)
+    samples = samples.reshape(n_series, n_blocks, BLOCK_ROWS, horizon)
+    # The series advance group_size(n_samples) at a time, every block of a
+    # group in the same call, but each block stays its own (8, D) slice of
+    # the stacked matrix product, so each row sees the gemm it would see
+    # alone.  Flattening the blocks into one (rows, D) matrix would change
+    # how the products round.  One state, input and cell workspace serve
+    # every group (the last one uses their leading rows), so a step
+    # allocates no array of the group's size.
+    params = model.params
+    per_group = min(group_size(n_samples), n_series)
+    rows = (per_group, n_blocks, BLOCK_ROWS)
+    h_all = np.empty((params.num_layers, *rows, params.hidden_size))
+    c_all = np.empty_like(h_all)
+    x_all = np.empty((*rows, 1 + n_channels))
+    work_all = cell_workspace(rows, params.hidden_size)
+    for lo in range(0, n_series, per_group):
+        hi = min(lo + per_group, n_series)
+        h, c, x = h_all[:, : hi - lo], c_all[:, : hi - lo], x_all[: hi - lo]
+        work = CellWork(*(w[: hi - lo] for w in work_all))
+        h[...] = enc_h[:, lo:hi, None, None, :]
+        c[...] = enc_c[:, lo:hi, None, None, :]
+        x[..., 0] = (z[lo:hi, -1] / scales[lo:hi])[:, None, None]
+        for t in range(horizon):
+            if n_channels:
+                x[..., 1:] = covariates[lo:hi, None, None, :, m + t]
+            mu, sigma = advance(x, h, c, params, cfg.sigma_floor, work)
+            samples[lo:hi, ..., t] = x[..., 0] = mu + sigma * samples[lo:hi, ..., t]
     samples = samples.reshape(n_series, -1, horizon)[:, :n_samples]
-    return ForecastGroup(np.maximum(samples * scales[:, None, None], 0.0), scales, seeds)
+    np.multiply(samples, scales[:, None, None], out=samples)
+    return ForecastGroup(np.maximum(samples, 0.0, out=samples), scales, seeds)
+
+
+def _noise(
+    seeds: tuple[tuple[int, ...], ...], n_samples: int, n_rows: int, horizon: int
+) -> np.ndarray:
+    """Standard normals (series, n_rows, horizon): row s < n_samples of series
+    i is the first horizon draws of stream (*seeds[i], s), the rest zeros.
+    Every trajectory of a seed length is keyed in one ``substreams`` call."""
+    eps = np.zeros((len(seeds), n_rows, horizon))
+    dtype = np.int64 if max(max(seed) for seed in seeds) < 2**63 else object
+    for k in sorted({len(seed) for seed in seeds}):
+        series = [i for i, seed in enumerate(seeds) if len(seed) == k]
+        keys = np.empty((len(series), n_samples, k + 1), dtype=dtype)
+        keys[..., :k] = np.array([seeds[i] for i in series], dtype=dtype)[:, None]
+        keys[..., k] = np.arange(n_samples)
+        streams = substreams(keys.reshape(-1, k + 1))
+        for i in series:
+            for s in range(n_samples):
+                next(streams).standard_normal(out=eps[i, s])
+    return eps
 
 
 def point_forecast(forecast: Forecast, statistic: str = "median") -> np.ndarray:

@@ -12,7 +12,9 @@ activations for the backward pass, about 13 MB at the default batch and
 window.  ``batch_buffers`` allocates that set once; training passes the same
 set to every batch, so a run allocates it once instead of once per batch
 (freed and faulted in again each time), and a partial last batch uses its
-leading rows.
+leading rows.  The forward pass runs every step through one cell workspace
+per batch, and the cell writes the candidate gate, tanh of the cell and the
+new hidden and cell rows straight into the caches.
 """
 
 from __future__ import annotations
@@ -21,7 +23,16 @@ import math
 
 import numpy as np
 
-from .network import DEFAULT_SIGMA_FLOOR, gaussian_nll, input_rows, lstm_cell, sigmoid, softplus
+from .network import (
+    DEFAULT_SIGMA_FLOOR,
+    CellWork,
+    cell_workspace,
+    gaussian_nll,
+    input_rows,
+    lstm_cell,
+    sigmoid,
+    softplus,
+)
 from .params import LayerParams, NetworkParams
 
 __all__ = ["batch_buffers", "batch_loss_and_grad"]
@@ -54,17 +65,23 @@ def _forward_batch(
     n_batch, length, _ = inputs.shape
     n_layers = params.num_layers
     h_all, c_all, *acts = (buf[:, :, :n_batch] for buf in buffers)
+    gi_all, gf_all, gg_all, go_all, tc_all = acts
     h_all[0] = 0.0
     c_all[0] = 0.0
+    work = cell_workspace((n_batch,), params.hidden_size)
     for t in range(length):
         x = inputs[:, t, :]
         for idx, layer in enumerate(params.layers):
-            h, c, gates = lstm_cell(x, (h_all[t, idx], c_all[t, idx]), layer)
-            for cache, g in zip(acts, gates):
-                cache[t, idx] = g
-            h_all[t + 1, idx] = h
-            c_all[t + 1, idx] = c
-            x = h
+            # the cell writes its candidate gate, tanh(c), h and c straight
+            # into this step's caches; the three sigmoid gates are strided
+            # views of its workspace and are copied
+            cached = CellWork(
+                work.a, work.p, work.mask, gg_all[t, idx], tc_all[t, idx], h_all[t + 1, idx], c_all[t + 1, idx]
+            )
+            x, _, (gi, gf, _, go, _) = lstm_cell(x, (h_all[t, idx], c_all[t, idx]), layer, cached)
+            gi_all[t, idx] = gi
+            gf_all[t, idx] = gf
+            go_all[t, idx] = go
     top_h = h_all[1:, n_layers - 1].transpose(1, 0, 2)
     raw = top_h @ params.head_w.T + params.head_b
     caches = {"h_all": h_all, "c_all": c_all, "acts": acts, "top_h": top_h, "inputs": inputs}

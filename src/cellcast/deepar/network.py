@@ -5,21 +5,26 @@ scale together with that step's covariate column, runs it through the stacked
 recurrent layers, and maps the top hidden vector to a location and a positive
 spread.  ``lstm_cell`` is the one gated update: training, the conditioning
 pass and the sampler all run every layer through it, on rows of any leading
-batch shape; ``cut_windows`` turns panel windows into its inputs (seed lag,
-channels, scale) for training and the forecast encoder alike.  Everything
-here is deterministic; sampling lives in forecasting.
+batch shape, writing into a ``CellWork`` the caller can keep for a whole
+loop so that no step allocates; ``cut_windows`` turns panel windows into
+its inputs (seed lag, channels, scale) for training and the forecast
+encoder alike.  Everything here is deterministic; sampling lives in
+forecasting.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .params import LayerParams, NetworkParams
 
 __all__ = [
+    "CellWork",
     "advance",
+    "cell_workspace",
     "cut_windows",
     "forward_window",
     "gaussian_nll",
@@ -43,8 +48,19 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e elsewhere, the same values as a select but in one cheaper pass.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    return _logistic(x, np.empty(x.shape), np.empty(x.shape), np.empty(x.shape, dtype=bool))
+
+
+def _logistic(x: np.ndarray, e: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """sigmoid(x) written into e, with den and mask as scratch; returns e.
+    e may be x itself: the mask is taken before x is overwritten."""
+    np.greater_equal(x, 0, out=mask)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(1.0, e, out=den)
+    np.maximum(e, mask, out=e)
+    return np.divide(e, den, out=e)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -52,8 +68,36 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
+class CellWork(NamedTuple):
+    """Arrays ``lstm_cell`` writes instead of allocating, for rows of one
+    leading shape: the pre-activation a (then exp(-|a|), then the four
+    gates' sigmoid), the recurrent product (then the sigmoid's denominator)
+    and the a >= 0 mask, each (..., 4 * hidden); the candidate gate, tanh of
+    the cell and the new hidden and cell rows, each (..., hidden)."""
+
+    a: np.ndarray
+    p: np.ndarray
+    mask: np.ndarray
+    gg: np.ndarray
+    tc: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
+
+
+def cell_workspace(shape: tuple[int, ...], hidden_size: int) -> CellWork:
+    """A CellWork for inputs x of leading shape ``shape`` (x.shape[:-1])."""
+    wide = (*shape, 4 * hidden_size)
+    narrow = (*shape, hidden_size)
+    return CellWork(
+        np.empty(wide), np.empty(wide), np.empty(wide, dtype=bool), *(np.empty(narrow) for _ in range(4))
+    )
+
+
 def lstm_cell(
-    x: np.ndarray, state: tuple[np.ndarray, np.ndarray], layer: LayerParams
+    x: np.ndarray,
+    state: tuple[np.ndarray, np.ndarray],
+    layer: LayerParams,
+    work: CellWork | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One gated update of a single layer for rows x (..., input_size).
 
@@ -63,6 +107,14 @@ def lstm_cell(
     each step makes one elementwise pass instead of three.  Returns the new
     hidden and cell rows plus the activations (input, forget, candidate,
     output gate, tanh of the cell) that backpropagation reuses.
+
+    Every result is written into ``work`` (``cell_workspace(x.shape[:-1],
+    hidden_size)``), so a caller that passes one workspace to every step
+    allocates nothing per step; the results are then views of it that the
+    next call overwrites.  Without one the call allocates its own.  Either
+    way every element goes through the operations it would go through
+    without ``out=``, so the bytes do not depend on the workspace, and the
+    arrays in ``state`` are only read.
 
     Products with more than one row (training's (B, D) batches, the
     sampler's stacked blocks) multiply by the layer's C-contiguous copies
@@ -77,28 +129,47 @@ def lstm_cell(
         wx_t, wh_t = layer.wx_t, layer.wh_t
     else:
         wx_t, wh_t = layer.wx.T, layer.wh.T
-    a = x @ wx_t + h_prev @ wh_t + layer.b
-    s = sigmoid(a)
+    if work is None:
+        work = cell_workspace(x.shape[:-1], hs)
+    a, p, mask, gg, tc, h, c = work
+    np.matmul(x, wx_t, out=a)
+    np.matmul(h_prev, wh_t, out=p)
+    np.add(a, p, out=a)
+    np.add(a, layer.b, out=a)
+    np.tanh(a[..., 2 * hs : 3 * hs], out=gg)
+    # in place: fewer arrays, and in-place passes run faster than ones
+    # writing a fresh array
+    s = _logistic(a, a, p, mask)
     gi = s[..., :hs]
     gf = s[..., hs : 2 * hs]
-    gg = np.tanh(a[..., 2 * hs : 3 * hs])
     go = s[..., 3 * hs :]
-    c = gf * c_prev + gi * gg
-    tc = np.tanh(c)
-    h = go * tc
+    np.multiply(gf, c_prev, out=c)
+    np.multiply(gi, gg, out=tc)  # tc holds gi * gg until tanh(c) replaces it
+    np.add(c, tc, out=c)
+    np.tanh(c, out=tc)
+    np.multiply(go, tc, out=h)
     return h, c, (gi, gf, gg, go, tc)
 
 
 def advance(
-    x: np.ndarray, h: np.ndarray, c: np.ndarray, params: NetworkParams, sigma_floor: float
+    x: np.ndarray,
+    h: np.ndarray,
+    c: np.ndarray,
+    params: NetworkParams,
+    sigma_floor: float,
+    work: CellWork | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One step of the stacked recurrence and the head for rows x (..., input_size).
 
-    h and c are (layers, ..., hidden) and are updated in place.  Returns the
-    location and spread of each row, both shaped like x without its last axis.
+    h and c are (layers, ..., hidden) and are updated in place.  Every layer
+    runs through ``work`` (``cell_workspace(x.shape[:-1], hidden)``), one
+    allocated for this call when None.  Returns the location and spread of
+    each row, both shaped like x without its last axis.
     """
+    if work is None:
+        work = cell_workspace(x.shape[:-1], params.hidden_size)
     for idx, layer in enumerate(params.layers):
-        h[idx], c[idx], _ = lstm_cell(x, (h[idx], c[idx]), layer)
+        h[idx], c[idx], _ = lstm_cell(x, (h[idx], c[idx]), layer, work)
         x = h[idx]
     raw = x @ params.head_w.T + params.head_b
     return raw[..., 0], softplus(raw[..., 1]) + sigma_floor
@@ -225,12 +296,14 @@ def forward_window(
     if sigma_floor <= 0.0:
         raise ValueError("sigma_floor must be positive")
     inputs = input_rows(z_lags / scale[..., None], x_window, params)
-    h = np.zeros((params.num_layers, *z_lags.shape[:-1], 1, params.hidden_size))
+    rows = (*z_lags.shape[:-1], 1)
+    h = np.zeros((params.num_layers, *rows, params.hidden_size))
     c = np.zeros_like(h)
+    work = cell_workspace(rows, params.hidden_size)
     mu = np.empty(z_lags.shape)
     sigma = np.empty(z_lags.shape)
     for t in range(z_lags.shape[-1]):
         mu[..., t : t + 1], sigma[..., t : t + 1] = advance(
-            inputs[..., t : t + 1, :], h, c, params, sigma_floor
+            inputs[..., t : t + 1, :], h, c, params, sigma_floor, work
         )
     return mu, sigma, (h[..., 0, :], c[..., 0, :])

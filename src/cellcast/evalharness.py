@@ -149,12 +149,13 @@ class TrainedModelForecaster:
         """One sampled Forecast per series, in panel order.
 
         The horizon and channel checks and the covariate build run in this
-        call, before the first series is sampled.  The series are sampled
-        ``group_size(n_samples)`` per sampler call, through
-        ``_fork.in_halves`` in rounds of ``ROUND_GROUPS`` groups' worth: with
+        call, before the first series is sampled.  The series go through
+        ``_fork.in_halves`` in rounds of ``ROUND_GROUPS`` groups of
+        ``group_size(n_samples)`` series, one sampler call per round: with
         a second usable CPU a forked child samples the second half of each
-        round ahead, while this process samples the first half as the
-        iterator is consumed.  Grouping and splitting never change a byte.
+        round ahead, in a call of its own, while this process samples the
+        first half when the iterator reaches it.  Grouping and splitting
+        never change a byte.
         """
         cfg = self.model.train_config
         if horizon > cfg.horizon:
@@ -170,21 +171,19 @@ class TrainedModelForecaster:
                 f"panel produces {n_channels} covariate channels,"
                 f" model expects {self.model.n_channels}"
             )
-        per_group = group_size(self.n_samples)
 
         def sampling(lo: int, hi: int) -> Iterator[Forecast]:
-            for start in range(lo, hi, per_group):
-                rows = slice(start, min(start + per_group, hi))
-                yield from sample_forecast(
-                    self.model,
-                    train_panel.values[rows],
-                    cov.channels[rows] if cov is not None else None,
-                    horizon=horizon,
-                    n_samples=self.n_samples,
-                    seed=[(*seed_ids, i) for i in range(rows.start, rows.stop)],
-                )
+            yield from sample_forecast(
+                self.model,
+                train_panel.values[lo:hi],
+                cov.channels[lo:hi] if cov is not None else None,
+                horizon=horizon,
+                n_samples=self.n_samples,
+                seed=[(*seed_ids, i) for i in range(lo, hi)],
+            )
 
-        return in_halves(sampling, train_panel.n_series, ROUND_GROUPS * per_group)
+        per_round = ROUND_GROUPS * group_size(self.n_samples)
+        return in_halves(sampling, train_panel.n_series, per_round)
 
     def forecast_panel(
         self, train_panel: SeriesPanel, horizon: int, seed_ids: tuple[int, ...] = (0,)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import check_field_types
-from ._rng import substream
+from ._rng import substream, substreams
 from .panel import PanelError, SeriesPanel
 
 __all__ = ["SynthConfig", "generate_panel", "series_params"]
@@ -81,15 +81,17 @@ class SynthConfig:
 
 def series_params(cfg: SynthConfig, i: int) -> tuple[float, float, float]:
     """Per-series (trend slope, sinusoid amplitude, phase) drawn from stream (seed, i, 0)."""
-    rng = substream(cfg.seed, i, _PARAMS)
+    return _draw_params(cfg, substream(cfg.seed, i, _PARAMS))
+
+
+def _draw_params(cfg: SynthConfig, rng: np.random.Generator) -> tuple[float, float, float]:
     slope = rng.uniform(*cfg.trend_slope_range)
     amplitude = rng.uniform(*cfg.amplitude_range)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     return slope, amplitude, phase
 
 
-def _burst_component(cfg: SynthConfig, i: int) -> np.ndarray:
-    rng = substream(cfg.seed, i, _BURSTS)
+def _burst_component(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     counts = rng.poisson(cfg.burst_rate, cfg.n_total)
     burst = np.zeros(cfg.n_total)
     for t in range(cfg.n_total):
@@ -109,12 +111,19 @@ def generate_panel(cfg: SynthConfig) -> SeriesPanel:
     """
     t = np.arange(1, cfg.n_total + 1, dtype=np.float64)
     angle = 2.0 * math.pi * (np.arange(1, cfg.n_total + 1) % cfg.period) / cfg.period
+    # every series' three streams (seed, i, 0..2), keyed in one pass
+    keys = np.empty((cfg.n_series, 3, 3), dtype=np.int64 if cfg.seed < 2**63 else object)
+    keys[..., 0] = cfg.seed
+    keys[..., 1] = np.arange(cfg.n_series)[:, None]
+    keys[..., 2] = (_PARAMS, _BURSTS, _NOISE)
+    streams = substreams(keys.reshape(-1, 3))
     rows = []
-    for i in range(cfg.n_series):
-        slope, amplitude, phase = series_params(cfg, i)
-        noise = substream(cfg.seed, i, _NOISE).normal(0.0, cfg.noise_sigma, cfg.n_total)
+    for _ in range(cfg.n_series):
+        params_rng, burst_rng, noise_rng = next(streams), next(streams), next(streams)
+        slope, amplitude, phase = _draw_params(cfg, params_rng)
+        noise = noise_rng.normal(0.0, cfg.noise_sigma, cfg.n_total)
         x = cfg.base_level + slope * t + amplitude * np.sin(angle + phase)
-        x += _burst_component(cfg, i) + noise
+        x += _burst_component(cfg, burst_rng) + noise
         rows.append(np.maximum(0.0, x))
     width = max(4, len(str(cfg.n_series - 1)))
     ids = tuple(f"cell{i:0{width}d}" for i in range(cfg.n_series))

@@ -41,7 +41,7 @@ from cellcast.deepar import (
 )
 from cellcast.deepar.grad import batch_buffers
 from cellcast.deepar import training
-from cellcast.deepar.network import cut_windows
+from cellcast.deepar.network import cell_workspace, cut_windows
 from cellcast.deepar.training import step_size
 from cellcast.panel import SeriesPanel
 import datetime as dt
@@ -184,6 +184,28 @@ class TestCellMath:
             for shape in [(2, in_size), (3, in_size), (7, in_size), (32, in_size), (2, 13, 8, in_size)]:
                 x = rng.normal(0.0, 1.0, shape)
                 self.assert_cell_bytes(layer, x, layer.wx_t, layer.wh_t)
+
+    def test_workspace_gives_the_same_bytes_and_leaves_state(self):
+        """lstm_cell writing into a workspace gives the bytes of a call that
+        allocates, on every row shape the package uses, reusing the
+        workspace; the state arrays are never written."""
+        rng = np.random.default_rng(44)
+        for in_size, hidden in [(3, 6), (40, 40)]:
+            layer = make_params(in_size, hidden, 1, seed=hidden).layers[0]
+            for shape in [(in_size,), (1, in_size), (5, 1, in_size), (32, in_size), (2, 13, 8, in_size)]:
+                work = cell_workspace(shape[:-1], hidden)
+                for _ in range(2):
+                    x = rng.normal(0.0, 1.0, shape)
+                    state = tuple(rng.normal(0.0, 0.5, (*shape[:-1], hidden)) for _ in range(2))
+                    before = [s.copy() for s in state]
+                    h, c, gates = lstm_cell(x, state, layer)
+                    h_w, c_w, gates_w = lstm_cell(x, state, layer, work)
+                    assert h_w is work.h and c_w is work.c
+                    assert h_w.tobytes() == h.tobytes() and c_w.tobytes() == c.tobytes()
+                    for g, g_w in zip(gates, gates_w):
+                        assert np.ascontiguousarray(g_w).tobytes() == np.ascontiguousarray(g).tobytes()
+                    for s, s0 in zip(state, before):
+                        assert s.tobytes() == s0.tobytes()
 
     def test_sigmoid_is_bit_identical_to_masked_form(self):
         """The mask-free sigmoid gives the masked form's bytes: at the edges, on
@@ -825,6 +847,38 @@ class TestForecasting:
         short = sample_forecast(model, cond, horizon=2, n_samples=6, seed=3)
         np.testing.assert_array_equal(short.samples, full.samples[:, :2])
 
+    @pytest.mark.parametrize("n_series, n_samples", [(5, 100), (33, 2)])
+    def test_one_call_equals_per_series_calls(self, n_series, n_samples):
+        """One call encodes all its series in one pass and advances them
+        group_size(n_samples) at a time (2, 2, 1 series at 100 samples; 32
+        then 1 at 2), yet every series gets the bytes of sampling it alone."""
+        rng = np.random.default_rng(n_series)
+        k = 2
+        model = tiny_model(n_channels=k, hidden=40, layers=2, context=14, horizon=5, seed=5)
+        cond = rng.uniform(10.0, 100.0, (n_series, 20))
+        cov = rng.normal(0.0, 1.0, (n_series, k, 25))
+        seeds = [(7, i) for i in range(n_series)]
+        group = sample_forecast(model, cond, cov, n_samples=n_samples, seed=seeds)
+        assert group.samples.shape == (n_series, n_samples, 5)
+        for i, fc in enumerate(group):
+            alone = sample_forecast(model, cond[i], cov[i], n_samples=n_samples, seed=seeds[i])
+            assert fc.samples.tobytes() == alone.samples.tobytes(), i
+            assert (fc.scale, fc.seed) == (alone.scale, seeds[i])
+
+    def test_trajectory_noise_is_its_substream(self):
+        """Trajectory s of a series seeded ids draws substream(*ids, s), for
+        seeds of mixed lengths and words past 32 and 64 bits; the padding
+        rows of the last block stay zero."""
+        from cellcast.deepar.forecasting import _noise
+
+        for seeds in [((3,), (1, 1), (2**40, 2), (4,)), ((2**64, 1), (5, 0))]:
+            eps = _noise(seeds, 3, 8, 5)
+            assert eps.shape == (len(seeds), 8, 5)
+            for i, ids in enumerate(seeds):
+                for s in range(3):
+                    assert eps[i, s].tobytes() == substream(*ids, s).standard_normal(5).tobytes()
+            assert not eps[:, 3:].any()
+
     def test_encoder_and_decoder_share_parameters(self, monkeypatch):
         """The conditioning pass and the sampling loop run the same cell on the
         same parameter objects."""
@@ -844,9 +898,9 @@ class TestForecasting:
             finally:
                 in_encoder.pop()
 
-        def spy_cell(x, state, layer):
+        def spy_cell(x, state, layer, work=None):
             cell_layers["encoder" if in_encoder else "decoder"].add(id(layer))
-            return real_cell(x, state, layer)
+            return real_cell(x, state, layer, work)
 
         monkeypatch.setattr(fc, "forward_window", spy_fw)
         monkeypatch.setattr(net, "lstm_cell", spy_cell)
@@ -908,7 +962,7 @@ class TestForecasting:
         with pytest.raises(ForecastError):
             Forecast(np.array([[np.inf]]), 1.0, (0,))
 
-    def test_sample_forecast_validation(self):
+    def test_sample_forecast_validation(self, monkeypatch):
         rng = np.random.default_rng(12)
         model = tiny_model(n_channels=1)
         cond = self.conditioning(rng, m=10)
@@ -943,6 +997,23 @@ class TestForecasting:
             sample_forecast(model, group, np.stack([cov, cov])[:, :, :8], seed=[1, 2])
         with pytest.raises(ForecastError, match="conditioning"):
             sample_forecast(plain, group[None], seed=[1])
+        # A negative or bool seed id and a sample count that is not an int
+        # >= 1 are ForecastErrors naming the argument, raised before the
+        # encoder runs.
+        import cellcast.deepar.forecasting as fc
+
+        def no_encoder(*args, **kwargs):
+            raise AssertionError("the encoder ran before the arguments were checked")
+
+        monkeypatch.setattr(fc, "forward_window", no_encoder)
+        for seed in (-1, (3, -2), True, (1, False)):
+            with pytest.raises(ForecastError, match="seed"):
+                sample_forecast(plain, cond, seed=seed)
+        with pytest.raises(ForecastError, match="seed"):
+            sample_forecast(plain, np.stack([cond, cond]), seed=[1, -1])
+        for n_samples in (2.0, True, "2"):
+            with pytest.raises(ForecastError, match="n_samples"):
+                sample_forecast(plain, cond, n_samples=n_samples)
 
     def test_wider_covariates_are_cropped(self):
         """Trailing covariate columns past conditioning + horizon are ignored."""

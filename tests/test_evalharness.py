@@ -434,18 +434,18 @@ class TestTrainedModelForecaster:
         return calls
 
     def test_one_sampler_call_per_group(self, monkeypatch):
-        """50 series at 2 samples are sampled in two groups: one sample_forecast
-        call and one encoder pass per group, not one per series.  The count
-        runs in one process, so the fork is pinned off."""
+        """50 series at 2 samples advance in two groups, but they are one
+        round: one sample_forecast call and one encoder pass, not one per
+        group or per series.  The count runs in one process, so the fork is
+        pinned off."""
         monkeypatch.setattr(_fork, "can_fork", lambda: False)
         calls = self.count_calls(monkeypatch)
         model, _ = self.wide_model()
         train_panel, _ = split_panel(weekly_panel(n_series=50), SplitSpec(36, 40))
         point = TrainedModelForecaster(model, 2).forecast_panel(train_panel, 5, (3,))
         assert point.shape == (50, 5)
-        groups = -(-50 // group_size(2))
-        assert groups == 2
-        assert calls == {"sample_forecast": groups, "forward_window": groups}
+        assert -(-50 // group_size(2)) == 2
+        assert calls == {"sample_forecast": 1, "forward_window": 1}
 
     def test_forked_parent_samples_its_half_in_one_call(self, monkeypatch):
         """With the fork, this process samples the first 25 of the 50 series,

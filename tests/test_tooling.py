@@ -153,3 +153,28 @@ def test_artifact_digests_script_names_every_artifact(tmp_path):
         digest, name = line.split("  ")
         assert re.fullmatch("[0-9a-f]{64}", digest), line
         assert (out / name).is_file()
+
+
+def test_scale_probe_prints_every_stage():
+    """scripts/scale_probe.py N prints one line per stage, in order, with
+    the stage's wall time and the peak resident sizes so far."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "scale_probe.py"), "20"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    stages = ["generate", "write", "load", "covariates", "train", "forecast", "holt_winters"]
+    assert len(lines) == len(stages)
+    for line, stage in zip(lines, stages):
+        fields = dict(item.split("=") for item in line.split())
+        assert list(fields) == ["series", "stage", "wall_s", "maxrss_mib", "children_maxrss_mib"], line
+        assert (fields["series"], fields["stage"]) == ("20", stage)
+        assert float(fields["wall_s"]) >= 0.0 and float(fields["maxrss_mib"]) > 0.0
+        assert float(fields["children_maxrss_mib"]) >= 0.0
+    bad = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "scale_probe.py"), "0"], capture_output=True, text=True
+    )
+    assert bad.returncode == 2 and bad.stdout == ""
