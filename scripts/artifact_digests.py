@@ -4,12 +4,14 @@ Usage: python3 scripts/artifact_digests.py OUT
 
 The recipe is generate -> covariates -> train -> forecast -> evaluate ->
 sweep --plots on the default config, cut down to train.epochs=1,
-train.windows_per_series=4 and sweep.n_samples=4, plus two more trainings
-(--no-lma, and train.day_of_week=true) that write their own model files.
-It prints one ``sha256  name`` line per file written, 21 in all, sorted by
-name.  Two checkouts that print the same lines wrote the same bytes, so a
-refactor that must keep every artifact can be checked by running this
-script from each checkout with one OUT path and comparing the output.
+train.windows_per_series=4 and sweep.n_samples=4, plus four more trainings
+(--no-lma, train.day_of_week=true, and one and three layers through
+train.num_layers) that write their own model files.  It prints one
+``sha256  name`` line per file written, 25 in all (each model file has
+its provenance sidecar), sorted by name.  Two checkouts that print the
+same lines wrote the same bytes, so a refactor that must keep every
+artifact can be checked by running this script from each checkout with
+one OUT path and comparing the output.
 
 OPENBLAS_NUM_THREADS is pinned to 1 before NumPy is imported: a BLAS
 product may round differently on another thread count, and the bytes are
@@ -36,6 +38,8 @@ RECIPE = (
     ("sweep", "--plots"),
     ("train", "--no-lma", "--set", "paths.model=model_nolma.bin"),
     ("train", "--set", "train.day_of_week=true", "--set", "paths.model=model_dow.bin"),
+    ("train", "--set", "train.num_layers=1", "--set", "paths.model=model_1layer.bin"),
+    ("train", "--set", "train.num_layers=3", "--set", "paths.model=model_3layer.bin"),
 )
 
 SETTINGS = ("train.epochs=1", "train.windows_per_series=4", "sweep.n_samples=4")

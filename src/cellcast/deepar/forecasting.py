@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .._rng import substreams
-from .network import CellWork, advance, cell_workspace, cut_windows, forward_window
+from .network import advance, cell_workspace, cut_windows, forward_window
 from .training import TrainedModel
 
 __all__ = [
@@ -246,7 +246,7 @@ def _sample_group(
     for lo in range(0, n_series, per_group):
         hi = min(lo + per_group, n_series)
         h, c, x = h_all[:, : hi - lo], c_all[:, : hi - lo], x_all[: hi - lo]
-        work = CellWork(*(w[: hi - lo] for w in work_all))
+        work = work_all.take(slice(hi - lo))
         h[...] = enc_h[:, lo:hi, None, None, :]
         c[...] = enc_c[:, lo:hi, None, None, :]
         x[..., 0] = (z[lo:hi, -1] / scales[lo:hi])[:, None, None]

@@ -7,14 +7,20 @@ zero seed lag) and is scored against the observed value at t.  The loss is
 the mean Gaussian negative log-likelihood over the steps, computed on the
 scaled series.
 
-The forward pass keeps every step's hidden and cell rows and gate
-activations for the backward pass, about 13 MB at the default batch and
-window.  ``batch_buffers`` allocates that set once; training passes the same
-set to every batch, so a run allocates it once instead of once per batch
-(freed and faulted in again each time), and a partial last batch uses its
-leading rows.  The forward pass runs every step through one cell workspace
-per batch, and the cell writes the candidate gate, tanh of the cell and the
-new hidden and cell rows straight into the caches.
+The forward pass runs by wavefront (``network.wavefront``): wavefront k
+advances layer j to step k - j, so a batch makes T + layers - 1 calls, each
+moving every layer.  It keeps every wavefront's hidden and cell rows, gates
+and tanh of the cell for the backward pass, one contiguous (layers, B, .)
+slab per wavefront, about 13.5 MB at the default batch and window.
+``batch_buffers`` allocates that set once; training passes the same set to
+every batch, so a run allocates it once instead of once per batch (freed
+and faulted in again each time), and a partial last batch uses its leading
+rows.  The cell writes straight into the caches.  The backward pass walks
+the same wavefronts in reverse: layer j's step t needs the gradients of
+layer j's step t + 1 and of layer j + 1's step t, both from the wavefront
+after, so it too moves every layer at once.  Every product keeps the shape
+and strides it has when the layers run one at a time, and every element
+goes through the same operations, so the schedule changes no byte.
 """
 
 from __future__ import annotations
@@ -26,114 +32,134 @@ import numpy as np
 from .network import (
     DEFAULT_SIGMA_FLOOR,
     CellWork,
-    cell_workspace,
     gaussian_nll,
     input_rows,
-    lstm_cell,
     sigmoid,
     softplus,
+    stacked_weights,
+    wavefront,
+    wavefront_layers,
 )
 from .params import LayerParams, NetworkParams
 
 __all__ = ["batch_buffers", "batch_loss_and_grad"]
 
 
-def batch_buffers(n_batch: int, length: int, params: NetworkParams) -> tuple[np.ndarray, ...]:
-    """Forward caches for batches of up to n_batch windows of length steps.
-
-    Returns the hidden and cell rows, each (length + 1, layers, n_batch,
-    hidden), then the input, forget, candidate and output gates and tanh of
-    the cell, each (length, layers, n_batch, hidden).  Each batch overwrites
-    them; a smaller batch uses the leading n_batch rows.
-    """
+def _buffer_shapes(n_batch: int, length: int, params: NetworkParams) -> tuple[tuple[int, ...], ...]:
     n_layers, hidden = params.num_layers, params.hidden_size
+    slots = length + n_layers - 1
     return (
-        *(np.empty((length + 1, n_layers, n_batch, hidden)) for _ in range(2)),
-        *(np.empty((length, n_layers, n_batch, hidden)) for _ in range(5)),
+        (slots + 1, n_layers, n_batch, hidden),
+        (slots + 1, n_layers, n_batch, hidden),
+        (slots, 4, n_layers, n_batch, hidden),
+        (slots, n_layers, n_batch, hidden),
     )
 
 
+def batch_buffers(n_batch: int, length: int, params: NetworkParams) -> tuple[np.ndarray, ...]:
+    """Forward caches for batches of up to n_batch windows of length steps.
+
+    Slot k of the hidden and cell rows, each (length + layers, layers,
+    n_batch, hidden), holds every layer's state before wavefront k: layer
+    j's step k - j - 1, or zero for k = j.  Slot k of the gates (length +
+    layers - 1, 4, layers, n_batch, hidden), the input, forget, candidate
+    and output gate one slab each, and of tanh of the cell (length +
+    layers - 1, layers, n_batch, hidden) holds wavefront k's.  Each batch
+    overwrites them; a smaller batch uses the leading n_batch rows.
+    """
+    return tuple(_aligned(shape) for shape in _buffer_shapes(n_batch, length, params))
+
+
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An empty float64 array whose data starts on a 64-byte boundary: a
+    large np.empty starts 16 bytes into a page, so each row pass straddles
+    cache lines, which costs about 2 % of a batch."""
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + size].reshape(shape)
+
+
 def _forward_batch(
-    inputs: np.ndarray, params: NetworkParams, buffers: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Run the stacked recurrence over (B, L, D) inputs with full caches.
+    steps: np.ndarray, params: NetworkParams, buffers: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Run the stacked recurrence over (L, B, D) step inputs with full caches.
 
     Returns raw head outputs (mu, sigma pre-activation), each (B, L), plus
-    the intermediate activations the backward pass needs, written into the
-    leading B rows of ``buffers`` (see batch_buffers).
+    the caches the backward pass needs: the leading B rows of ``buffers``
+    (see batch_buffers), which the pass writes, and the top layer's rows
+    (B, L, hidden).
     """
-    n_batch, length, _ = inputs.shape
-    n_layers = params.num_layers
-    h_all, c_all, *acts = (buf[:, :, :n_batch] for buf in buffers)
-    gi_all, gf_all, gg_all, go_all, tc_all = acts
-    h_all[0] = 0.0
-    c_all[0] = 0.0
-    work = cell_workspace((n_batch,), params.hidden_size)
-    for t in range(length):
-        x = inputs[:, t, :]
-        for idx, layer in enumerate(params.layers):
-            # the cell writes its candidate gate, tanh(c), h and c straight
-            # into this step's caches; the three sigmoid gates are strided
-            # views of its workspace and are copied
-            cached = CellWork(
-                work.a, work.p, work.mask, gg_all[t, idx], tc_all[t, idx], h_all[t + 1, idx], c_all[t + 1, idx]
-            )
-            x, _, (gi, gf, _, go, _) = lstm_cell(x, (h_all[t, idx], c_all[t, idx]), layer, cached)
-            gi_all[t, idx] = gi
-            gf_all[t, idx] = gf
-            go_all[t, idx] = go
-    top_h = h_all[1:, n_layers - 1].transpose(1, 0, 2)
+    length, n_batch, _ = steps.shape
+    n_layers, hidden = params.num_layers, params.hidden_size
+    h, c, gates, tc = (buf[..., :n_batch, :] for buf in buffers)
+    for j in range(n_layers):  # each layer's state before its first step
+        h[j, j] = 0.0
+        c[j, j] = 0.0
+    wide = (n_layers, n_batch, 4 * hidden)
+    a, p, mask = np.empty(wide), np.empty(wide), np.empty(wide, dtype=bool)
+    weights = stacked_weights(params, (n_batch,))
+    for k in range(length + n_layers - 1):
+        slabs = gates[k]
+        work = CellWork(a, p, mask, slabs[2], tc[k], h[k + 1], c[k + 1], slabs)
+        wavefront(k, steps, h[k], c[k], work, weights)
+    top_h = h[n_layers:, n_layers - 1].transpose(1, 0, 2)
     raw = top_h @ params.head_w.T + params.head_b
-    caches = {"h_all": h_all, "c_all": c_all, "acts": acts, "top_h": top_h, "inputs": inputs}
-    return raw[:, :, 0], raw[:, :, 1], caches
+    return raw[:, :, 0], raw[:, :, 1], (h, c, gates, tc, top_h)
 
 
 def _backward_batch(
     d_mu: np.ndarray,
     d_spre: np.ndarray,
+    steps: np.ndarray,
     params: NetworkParams,
-    caches: dict[str, np.ndarray],
+    caches: tuple[np.ndarray, ...],
 ) -> NetworkParams:
     n_batch, length = d_mu.shape
-    n_layers = params.num_layers
-    hidden = params.hidden_size
-    h_all = caches["h_all"]
-    c_all = caches["c_all"]
-    acts = caches["acts"]
-    inputs = caches["inputs"]
+    n_layers, hidden = params.num_layers, params.hidden_size
+    h, c, gates, tc, top_h = caches
     d_raw = np.stack([d_mu, d_spre], axis=2)
-    d_head_w = np.einsum("btr,bth->rh", d_raw, caches["top_h"])
+    d_head_w = np.einsum("btr,bth->rh", d_raw, top_h)
     d_head_b = d_raw.sum(axis=(0, 1))
     d_top = d_raw @ params.head_w
-    d_wx = [np.zeros_like(layer.wx) for layer in params.layers]
-    d_wh = [np.zeros_like(layer.wh) for layer in params.layers]
-    d_b = [np.zeros_like(layer.b) for layer in params.layers]
+    wx = np.stack([layer.wx for layer in params.layers[1:]]) if n_layers > 1 else None
+    wh = np.stack([layer.wh for layer in params.layers])
+    d_wx0 = np.zeros_like(params.layers[0].wx)
+    d_wx = np.zeros((n_layers - 1, 4 * hidden, hidden))
+    d_wh = np.zeros_like(wh)
+    d_b = np.zeros((n_layers, 4 * hidden))
     dh_next = np.zeros((n_layers, n_batch, hidden))
     dc_next = np.zeros((n_layers, n_batch, hidden))
-    da = np.empty((n_batch, 4 * hidden))
-    for t in range(length - 1, -1, -1):
-        dx_above: np.ndarray | None = None
-        for idx in range(n_layers - 1, -1, -1):
-            dh = dh_next[idx].copy()
-            if idx == n_layers - 1:
-                dh += d_top[:, t]
-            if dx_above is not None:
-                dh += dx_above
-            gi, gf, gg, go, tc = (cache[t, idx] for cache in acts)
-            dct = dc_next[idx] + dh * go * (1.0 - tc * tc)
-            da[:, :hidden] = dct * gg * gi * (1.0 - gi)
-            da[:, hidden : 2 * hidden] = dct * c_all[t, idx] * gf * (1.0 - gf)
-            da[:, 2 * hidden : 3 * hidden] = dct * gi * (1.0 - gg * gg)
-            da[:, 3 * hidden :] = dh * tc * go * (1.0 - go)
-            dc_next[idx] = dct * gf
-            layer = params.layers[idx]
-            x_in = inputs[:, t, :] if idx == 0 else h_all[t + 1, idx - 1]
-            d_wx[idx] += da.T @ x_in
-            d_wh[idx] += da.T @ h_all[t, idx]
-            d_b[idx] += da.sum(axis=0)
-            dh_next[idx] = da @ layer.wh
-            dx_above = da @ layer.wx if idx > 0 else None
-    return NetworkParams(tuple(map(LayerParams, d_wx, d_wh, d_b)), d_head_w, d_head_b)
+    # each layer's output gradient from above: the input gradient of the
+    # layer over it, or the head's for the top layer
+    d_above = np.empty((n_layers, n_batch, hidden))
+    da = np.empty((n_layers, n_batch, 4 * hidden))
+    for k in range(length + n_layers - 2, -1, -1):
+        lo, hi, layers = wavefront_layers(k, length, n_layers)
+        if hi == n_layers - 1:
+            d_above[hi] = d_top[:, k - hi]
+        dh = dh_next[layers] + d_above[layers]
+        slabs, tck = gates[k, :, layers], tc[k, layers]
+        gi, gf, gg, go = slabs[0], slabs[1], slabs[2], slabs[3]
+        dct = dc_next[layers] + dh * go * (1.0 - tck * tck)
+        d = da[layers]
+        np.multiply(dct * gg * gi, 1.0 - gi, out=d[..., :hidden])
+        np.multiply(dct * c[k, layers] * gf, 1.0 - gf, out=d[..., hidden : 2 * hidden])
+        np.multiply(dct * gi, 1.0 - gg * gg, out=d[..., 2 * hidden : 3 * hidden])
+        np.multiply(dh * tck * go, 1.0 - go, out=d[..., 3 * hidden :])
+        np.multiply(dct, gf, out=dc_next[layers])
+        if lo == 0:
+            d_wx0 += da[0].T @ steps[k]
+        if hi > 0:
+            up = max(lo, 1)
+            upper = da[up : hi + 1]
+            d_wx[up - 1 : hi] += upper.transpose(0, 2, 1) @ h[k, up - 1 : hi]
+            d_above[up - 1 : hi] = upper @ wx[up - 1 : hi]
+        d_wh[layers] += d.swapaxes(-1, -2) @ h[k, layers]
+        d_b[layers] += np.add.reduce(d, axis=-2)
+        np.matmul(d, wh[layers], out=dh_next[layers])
+    d_wx_all = (d_wx0, *d_wx)
+    return NetworkParams(tuple(map(LayerParams, d_wx_all, d_wh, d_b)), d_head_w, d_head_b)
 
 
 def batch_loss_and_grad(
@@ -154,7 +180,8 @@ def batch_loss_and_grad(
     gaussian_nll, the gradient through the NetworkParams checks), which is
     how a diverging run shows.  buffers, from ``batch_buffers(B_max, T,
     params)`` with B_max >= B, holds the forward caches; without it the call
-    allocates its own.
+    allocates its own; a set built for another network, length or a
+    smaller batch is a ValueError naming both sets of shapes.
     """
     z_windows = np.asarray(z_windows, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
@@ -171,13 +198,18 @@ def batch_loss_and_grad(
         raise ValueError("sigma_floor must be positive")
     if buffers is None:
         buffers = batch_buffers(n_batch, length, params)
-    elif buffers[0].shape[0] != length + 1 or buffers[0].shape[2] < n_batch:
-        raise ValueError(
-            f"buffers of shape {buffers[0].shape} cannot hold {n_batch} windows of {length} steps"
-        )
+    else:
+        given = tuple(np.shape(buf) for buf in buffers)
+        held = given[0][2] if given and len(given[0]) == 4 else 0
+        if held < n_batch or given != _buffer_shapes(held, length, params):
+            raise ValueError(
+                f"buffers of shapes {given} cannot hold {n_batch} windows of {length} steps"
+                f" of this network, which needs {_buffer_shapes(n_batch, length, params)}"
+            )
     inputs = input_rows(z_windows[:, :-1] / scales[:, None], x_windows, params)
+    steps = inputs.transpose(1, 0, 2)
     targets = z_windows[:, 1:] / scales[:, None]
-    mu, s_pre, caches = _forward_batch(inputs, params, buffers)
+    mu, s_pre, caches = _forward_batch(steps, params, buffers)
     sigma = softplus(s_pre) + sigma_floor
     loss = float(np.mean(gaussian_nll(targets, mu, sigma, 1.0)))
     if not math.isfinite(loss):
@@ -187,6 +219,6 @@ def batch_loss_and_grad(
     resid = targets - mu
     d_sigma = (1.0 / sigma - resid * resid / sigma**3) * inv_count
     d_spre = d_sigma * sigmoid(s_pre)
-    grads = _backward_batch(d_mu, d_spre, params, caches)
+    grads = _backward_batch(d_mu, d_spre, steps, params, caches)
     return loss, grads
 

@@ -3,13 +3,18 @@
 The model consumes, at each step t, the previous target scaled by the series
 scale together with that step's covariate column, runs it through the stacked
 recurrent layers, and maps the top hidden vector to a location and a positive
-spread.  ``lstm_cell`` is the one gated update: training, the conditioning
-pass and the sampler all run every layer through it, on rows of any leading
-batch shape, writing into a ``CellWork`` the caller can keep for a whole
-loop so that no step allocates; ``cut_windows`` turns panel windows into
-its inputs (seed lag, channels, scale) for training and the forecast
-encoder alike.  Everything here is deterministic; sampling lives in
-forecasting.
+spread.  ``lstm_cell`` is the one gate math: training, the conditioning pass
+and the sampler all run every layer through it, on rows of any leading
+shape, writing into a ``CellWork`` the caller can keep for a whole loop so
+that no step allocates.  A teacher-forced pass (training, and the forecast
+encoder) knows every step's input in advance, so it runs by wavefront
+(Appleyard et al., arXiv:1604.01946): wavefront k advances layer j to step
+k - j, which needs only the wavefront before, so every layer moves in one
+``wavefront`` call, stacked on a leading layer axis.  The sampler feeds
+each step's draw back as the next input and advances layer by layer
+(``advance``).  ``cut_windows`` turns panel windows into the pass's inputs
+(seed lag, channels, scale) for training and the forecast encoder alike.
+Everything here is deterministic; sampling lives in forecasting.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import LayerParams, NetworkParams
+from .params import NetworkParams
 
 __all__ = [
     "CellWork",
@@ -33,6 +38,9 @@ __all__ = [
     "series_scale",
     "sigmoid",
     "softplus",
+    "stacked_weights",
+    "wavefront",
+    "wavefront_layers",
 ]
 
 DEFAULT_SIGMA_FLOOR = 1e-6
@@ -70,10 +78,13 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 class CellWork(NamedTuple):
     """Arrays ``lstm_cell`` writes instead of allocating, for rows of one
-    leading shape: the pre-activation a (then exp(-|a|), then the four
-    gates' sigmoid), the recurrent product (then the sigmoid's denominator)
-    and the a >= 0 mask, each (..., 4 * hidden); the candidate gate, tanh of
-    the cell and the new hidden and cell rows, each (..., hidden)."""
+    leading shape: the pre-activation a, which the caller's products fill
+    (then exp(-|a|), then the four gates' sigmoid), the recurrent product
+    (then the sigmoid's denominator) and the a >= 0 mask, each (..., 4 *
+    hidden); the candidate gate, tanh of the cell and the new hidden and
+    cell rows, each (..., hidden); and, for a caller that keeps the gates
+    (training), slabs (4, ..., hidden) whose third is gg, to receive the
+    four gates one contiguous slab each."""
 
     a: np.ndarray
     p: np.ndarray
@@ -82,10 +93,16 @@ class CellWork(NamedTuple):
     tc: np.ndarray
     h: np.ndarray
     c: np.ndarray
+    slabs: np.ndarray | None = None
+
+    def take(self, rows: int | slice) -> "CellWork":
+        """The workspace of the rows ``rows`` of the leading axis."""
+        *arrays, slabs = self
+        return CellWork(*(w[rows] for w in arrays), None if slabs is None else slabs[:, rows])
 
 
 def cell_workspace(shape: tuple[int, ...], hidden_size: int) -> CellWork:
-    """A CellWork for inputs x of leading shape ``shape`` (x.shape[:-1])."""
+    """A CellWork for rows of leading shape ``shape``."""
     wide = (*shape, 4 * hidden_size)
     narrow = (*shape, hidden_size)
     return CellWork(
@@ -94,61 +111,60 @@ def cell_workspace(shape: tuple[int, ...], hidden_size: int) -> CellWork:
 
 
 def lstm_cell(
-    x: np.ndarray,
-    state: tuple[np.ndarray, np.ndarray],
-    layer: LayerParams,
-    work: CellWork | None = None,
+    a: np.ndarray, c_prev: np.ndarray, work: CellWork | None = None
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """One gated update of a single layer for rows x (..., input_size).
+    """The gate math of one step, for pre-activation rows a (..., 4 * hidden).
 
-    Gate pre-activations are stacked in ``layer`` as four blocks of
-    hidden_size rows in the order input, forget, candidate, output.  One
-    sigmoid covers all four blocks (the candidate's share is discarded), so
-    each step makes one elementwise pass instead of three.  Returns the new
-    hidden and cell rows plus the activations (input, forget, candidate,
-    output gate, tanh of the cell) that backpropagation reuses.
+    a is x @ wx.T + h_prev @ wh.T + b, four blocks of hidden_size columns in
+    the order input, forget, candidate, output.  One sigmoid covers all four
+    blocks (the candidate's share is discarded), so each step makes one
+    elementwise pass instead of three.  Returns the new hidden and cell
+    rows plus the activations (input, forget, candidate, output gate, tanh
+    of the cell) that backpropagation reuses: strided columns of a, or,
+    when ``work.slabs`` is given, copies in one contiguous slab per gate,
+    which the later passes here and in backpropagation run faster over.
+    Rows may carry any leading shape: the sampler's blocks, or a
+    wavefront's layers stacked on a leading axis, whose rows the cell
+    cannot tell apart.
 
-    Every result is written into ``work`` (``cell_workspace(x.shape[:-1],
+    Every result is written into ``work`` (``cell_workspace(a.shape[:-1],
     hidden_size)``), so a caller that passes one workspace to every step
     allocates nothing per step; the results are then views of it that the
     next call overwrites.  Without one the call allocates its own.  Either
     way every element goes through the operations it would go through
-    without ``out=``, so the bytes do not depend on the workspace, and the
-    arrays in ``state`` are only read.
-
-    Products with more than one row (training's (B, D) batches, the
-    sampler's stacked blocks) multiply by the layer's C-contiguous copies
-    ``wx_t``/``wh_t``, which is faster.  One-row products (1-D x, the
-    encoder's (..., 1, D) slices) multiply by the transposed views
-    ``wx.T``/``wh.T``: BLAS takes another path for them and would round
-    differently with the copies, moving every forecast.
+    without ``out=``, so the bytes do not depend on the workspace.  a is
+    overwritten; c_prev is only read, except that ``work.c`` may be c_prev
+    itself: each element is read before it is overwritten.
     """
-    hs = layer.hidden_size
-    h_prev, c_prev = state
-    if x.ndim >= 2 and x.shape[-2] > 1:
-        wx_t, wh_t = layer.wx_t, layer.wh_t
-    else:
-        wx_t, wh_t = layer.wx.T, layer.wh.T
+    hs = a.shape[-1] // 4
     if work is None:
-        work = cell_workspace(x.shape[:-1], hs)
-    a, p, mask, gg, tc, h, c = work
-    np.matmul(x, wx_t, out=a)
-    np.matmul(h_prev, wh_t, out=p)
-    np.add(a, p, out=a)
-    np.add(a, layer.b, out=a)
+        work = cell_workspace(a.shape[:-1], hs)
+    _, p, mask, gg, tc, h, c, slabs = work
     np.tanh(a[..., 2 * hs : 3 * hs], out=gg)
     # in place: fewer arrays, and in-place passes run faster than ones
     # writing a fresh array
     s = _logistic(a, a, p, mask)
-    gi = s[..., :hs]
-    gf = s[..., hs : 2 * hs]
-    go = s[..., 3 * hs :]
+    if slabs is None:
+        gi = s[..., :hs]
+        gf = s[..., hs : 2 * hs]
+        go = s[..., 3 * hs :]
+    else:
+        blocks = s.reshape(*s.shape[:-1], 4, hs)
+        slabs[:2] = blocks[..., :2, :].transpose(-2, *range(s.ndim - 1), -1)
+        slabs[3] = blocks[..., 3, :]
+        gi, gf, _, go = slabs
     np.multiply(gf, c_prev, out=c)
     np.multiply(gi, gg, out=tc)  # tc holds gi * gg until tanh(c) replaces it
     np.add(c, tc, out=c)
     np.tanh(c, out=tc)
     np.multiply(go, tc, out=h)
     return h, c, (gi, gf, gg, go, tc)
+
+
+def _head(h_top: np.ndarray, params: NetworkParams, sigma_floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Location and spread of each top-layer row."""
+    raw = h_top @ params.head_w.T + params.head_b
+    return raw[..., 0], softplus(raw[..., 1]) + sigma_floor
 
 
 def advance(
@@ -165,14 +181,113 @@ def advance(
     runs through ``work`` (``cell_workspace(x.shape[:-1], hidden)``), one
     allocated for this call when None.  Returns the location and spread of
     each row, both shaped like x without its last axis.
+
+    Products with more than one row (the sampler's 8-row blocks) multiply
+    by the layer's C-contiguous copies ``wx_t``/``wh_t``, which is faster;
+    one-row products by the transposed views, as ``stacked_weights`` does.
     """
     if work is None:
         work = cell_workspace(x.shape[:-1], params.hidden_size)
+    one_row = x.ndim < 2 or x.shape[-2] == 1
     for idx, layer in enumerate(params.layers):
-        h[idx], c[idx], _ = lstm_cell(x, (h[idx], c[idx]), layer, work)
+        wx_t, wh_t = (layer.wx.T, layer.wh.T) if one_row else (layer.wx_t, layer.wh_t)
+        np.matmul(x, wx_t, out=work.a)
+        np.matmul(h[idx], wh_t, out=work.p)
+        np.add(work.a, work.p, out=work.a)
+        np.add(work.a, layer.b, out=work.a)
+        # in place: the products have read h[idx], and the cell reads each
+        # element of c[idx] before it overwrites it
+        lstm_cell(work.a, c[idx], work._replace(h=h[idx], c=c[idx]))
         x = h[idx]
-    raw = x @ params.head_w.T + params.head_b
-    return raw[..., 0], softplus(raw[..., 1]) + sigma_floor
+    return _head(x, params, sigma_floor)
+
+
+class StackedWeights(NamedTuple):
+    """A network's weights as ``wavefront`` multiplies them: layer 0's
+    transposed input weights (in, 4H); the transposed input weights of
+    layers 1 and up (layers - 1, ..., hidden, 4H), None for one layer; the
+    transposed recurrent weights (layers, ..., hidden, 4H); and the biases
+    (layers, ..., 4H).  The middle axes are the rows' leading axes but
+    the last, so each layer's matrix broadcasts over them."""
+
+    w0: np.ndarray
+    wx_t: np.ndarray | None
+    wh_t: np.ndarray
+    b: np.ndarray
+
+
+def stacked_weights(params: NetworkParams, rows: tuple[int, ...]) -> StackedWeights:
+    """The weights of a teacher-forced pass whose products each take rows[-1] rows.
+
+    Products with more than one row (training's (B, D) batches) multiply by
+    C-contiguous copies of the transposes, which OpenBLAS runs faster.  One-
+    row products (the encoder's per-series slices) multiply by transposed
+    views: BLAS takes another path for them and would round differently
+    with the copies, moving every forecast.  Stacking keeps each layer's
+    matrix, strides included, so each product is the one it would be alone.
+    """
+    first, upper = params.layers[0], params.layers[1:]
+    expand = (slice(None),) + (None,) * (len(rows) - 1)
+
+    def stack(weights: list[np.ndarray]) -> np.ndarray:
+        transposed = np.stack(weights).transpose(0, 2, 1)
+        return (transposed if rows[-1] == 1 else np.ascontiguousarray(transposed))[expand]
+
+    return StackedWeights(
+        first.wx.T if rows[-1] == 1 else first.wx_t,
+        stack([layer.wx for layer in upper]) if upper else None,
+        stack([layer.wh for layer in params.layers]),
+        np.stack([layer.b for layer in params.layers])[(*expand, None)],
+    )
+
+
+def wavefront_layers(k: int, length: int, n_layers: int) -> tuple[int, int, int | slice]:
+    """The layers lo..hi that wavefront k of an L-step pass advances (layer
+    j takes step k - j), and the index that selects them on a leading layer
+    axis: a lone layer's is an int, so that its rows are (B, .) as in a
+    pass that runs the layers one at a time, where numpy's passes cost less
+    than over the (1, B, .) a slice would give."""
+    lo, hi = max(0, k - length + 1), min(k, n_layers - 1)
+    return lo, hi, lo if lo == hi else slice(lo, hi + 1)
+
+
+def wavefront(
+    k: int, x: np.ndarray, h: np.ndarray, c: np.ndarray, work: CellWork, weights: StackedWeights
+) -> None:
+    """Wavefront k of a teacher-forced pass: every layer j with 0 <= k - j < L
+    takes its step k - j, in one product per kind and one ``lstm_cell`` call.
+
+    x is (L, *rows, input_size), step t's input rows.  h and c are (layers,
+    *rows, hidden): each layer's state before this wavefront, which is its
+    step k - j - 1 (zero before its first step), and layer j - 1's rows are
+    layer j's input, since layer j - 1 took step k - j in the wavefront
+    before.  The active layers' new h and c, gates and tanh(c) go into
+    their rows of ``work`` (layers, *rows, ...), whose h and c may be h and
+    c themselves: every product reads the state before the cell writes.
+
+    Layer 0's input product, the stacked input product of layers 1 and up
+    and the stacked recurrent product each multiply every layer's rows by
+    its own matrix of ``weights``, as a separate product of the same shape
+    and strides, so the schedule changes no byte against running the
+    layers one at a time.
+    """
+    n_layers = h.shape[0]
+    lo, hi, layers = wavefront_layers(k, x.shape[0], n_layers)
+    a = work.a
+    if lo == 0:
+        np.matmul(x[k], weights.w0, out=a[0])
+    if hi > 0:
+        up = max(lo, 1)
+        np.matmul(h[up - 1 : hi], weights.wx_t[up - 1 : hi], out=a[up : hi + 1])
+    if hi - lo + 1 < n_layers:
+        work = work.take(layers)
+        a = work.a
+    else:
+        layers = slice(None)  # every layer: the arrays as they are
+    np.matmul(h[layers], weights.wh_t[layers], out=work.p)
+    np.add(a, work.p, out=a)
+    np.add(a, weights.b[layers], out=a)
+    lstm_cell(a, c[layers], work)
 
 
 def series_scale(conditioning: np.ndarray) -> np.float64 | np.ndarray:
@@ -278,10 +393,12 @@ def forward_window(
     each (L,), and the final hidden and cell rows, each (layers, hidden).
 
     Windows of several series run together when z_lags is (..., L),
-    x_window (..., L, K) and scale holds one value per window (...): every
-    step advances all windows in one call, each as its own one-row product,
-    so each window's results are bit-identical to running it alone.  The
-    outputs gain the same leading axes: (..., L) and (layers, ..., hidden).
+    x_window (..., L, K) and scale holds one value per window (...): the
+    pass runs by ``wavefront``, every layer of every window in one call per
+    wavefront, but each window keeps its own one-row products, so each
+    window's results are bit-identical to running it alone, one layer and
+    one step at a time.  The outputs gain the same leading axes: (..., L)
+    and (layers, ..., hidden).
     """
     z_lags = np.asarray(z_lags, dtype=np.float64)
     scale = np.asarray(scale, dtype=np.float64)
@@ -297,13 +414,17 @@ def forward_window(
         raise ValueError("sigma_floor must be positive")
     inputs = input_rows(z_lags / scale[..., None], x_window, params)
     rows = (*z_lags.shape[:-1], 1)
-    h = np.zeros((params.num_layers, *rows, params.hidden_size))
+    n_layers, length = params.num_layers, z_lags.shape[-1]
+    h = np.zeros((n_layers, *rows, params.hidden_size))
     c = np.zeros_like(h)
-    work = cell_workspace(rows, params.hidden_size)
+    work = cell_workspace((n_layers, *rows), params.hidden_size)._replace(h=h, c=c)
+    weights = stacked_weights(params, rows)
+    steps = np.moveaxis(inputs[..., None, :], -3, 0)
     mu = np.empty(z_lags.shape)
     sigma = np.empty(z_lags.shape)
-    for t in range(z_lags.shape[-1]):
-        mu[..., t : t + 1], sigma[..., t : t + 1] = advance(
-            inputs[..., t : t + 1, :], h, c, params, sigma_floor, work
-        )
+    for k in range(length + n_layers - 1):
+        wavefront(k, steps, h, c, work, weights)
+        t = k - n_layers + 1
+        if t >= 0:
+            mu[..., t : t + 1], sigma[..., t : t + 1] = _head(h[-1], params, sigma_floor)
     return mu, sigma, (h[..., 0, :], c[..., 0, :])

@@ -38,10 +38,11 @@ from cellcast.deepar import (
     ModelStoreError,
     batch_loss_and_grad,
     sigmoid,
+    softplus,
 )
 from cellcast.deepar.grad import batch_buffers
 from cellcast.deepar import training
-from cellcast.deepar.network import cell_workspace, cut_windows
+from cellcast.deepar.network import advance, cell_workspace, cut_windows, input_rows, stacked_weights
 from cellcast.deepar.training import step_size
 from cellcast.panel import SeriesPanel
 import datetime as dt
@@ -117,10 +118,7 @@ def tiny_model(n_channels=0, hidden=4, layers=1, context=6, horizon=3, seed=0):
 class TestCellMath:
     def test_open_forget_gate_carries_cell(self):
         """With a +20 forget bias and zero elsewhere the cell value survives one step."""
-        layer = LayerParams(
-            np.zeros((4, 1)), np.zeros((4, 1)), np.array([0.0, 20.0, 0.0, 0.0])
-        )
-        h, c, _ = lstm_cell(np.array([0.0]), (np.array([0.0]), np.array([1.0])), layer)
+        h, c, _ = lstm_cell(np.array([0.0, 20.0, 0.0, 0.0]), np.array([1.0]))
         np.testing.assert_allclose(c, [1.0], atol=1e-8)
         np.testing.assert_allclose(h, [0.5 * math.tanh(c[0])], rtol=1e-12)
         assert abs(h[0] - 0.380797) < 1e-6
@@ -128,13 +126,12 @@ class TestCellMath:
     def test_cell_rows_are_independent(self):
         """A batch of rows gives each row what it gets alone, gates included."""
         rng = np.random.default_rng(71)
-        layer = make_params(3, 5, 1, seed=4).layers[0]
-        x = rng.normal(size=(6, 3))
-        h_prev, c_prev = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
-        h, c, gates = lstm_cell(x, (h_prev, c_prev), layer)
+        a = rng.normal(0.0, 2.0, size=(6, 20))
+        c_prev = rng.normal(size=(6, 5))
+        h, c, gates = lstm_cell(a.copy(), c_prev)
         assert h.shape == c.shape == (6, 5) and len(gates) == 5
         for r in range(6):
-            h_r, c_r, gates_r = lstm_cell(x[r], (h_prev[r], c_prev[r]), layer)
+            h_r, c_r, gates_r = lstm_cell(a[r].copy(), c_prev[r])
             np.testing.assert_allclose(h[r], h_r, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(c[r], c_r, rtol=1e-12, atol=1e-15)
             for g, g_r in zip(gates, gates_r):
@@ -150,14 +147,21 @@ class TestCellMath:
         return s[..., 3 * hs :] * tc, c, (s[..., :hs], s[..., hs : 2 * hs], gg, s[..., 3 * hs :], tc)
 
     def assert_cell_bytes(self, layer, x, wx_t, wh_t):
+        """One sampler step of a one-layer network gives the cell math of
+        x @ wx_t + h @ wh_t + b, gates included."""
         rng = np.random.default_rng(x.size)
         hs = layer.hidden_size
+        params = NetworkParams((layer,), np.zeros((2, hs)), np.zeros(2))
         h_prev = rng.normal(0.0, 0.5, (*x.shape[:-1], hs))
         c_prev = rng.normal(0.0, 0.5, h_prev.shape)
-        h, c, gates = lstm_cell(x, (h_prev, c_prev), layer)
+        h, c = h_prev[None].copy(), c_prev[None].copy()
+        work = cell_workspace(x.shape[:-1], hs)
+        advance(x, h, c, params, 1e-6, work)
         a = x @ wx_t + h_prev @ wh_t + layer.b
         h_ref, c_ref, gates_ref = self.cell_from(a, c_prev, hs)
-        assert h.tobytes() == h_ref.tobytes() and c.tobytes() == c_ref.tobytes()
+        assert h[0].tobytes() == h_ref.tobytes() and c[0].tobytes() == c_ref.tobytes()
+        s = work.a  # the cell's sigmoid, in place
+        gates = (s[..., :hs], s[..., hs : 2 * hs], work.gg, s[..., 3 * hs :], work.tc)
         for g, g_ref in zip(gates, gates_ref):
             assert g.tobytes() == g_ref.tobytes()
 
@@ -185,27 +189,55 @@ class TestCellMath:
                 x = rng.normal(0.0, 1.0, shape)
                 self.assert_cell_bytes(layer, x, layer.wx_t, layer.wh_t)
 
+    @pytest.mark.parametrize("rows", [(32,), (2,), (1,), (5, 1)])
+    def test_stacked_weights_keep_each_layers_matrix(self, rows):
+        """A wavefront's stacked products take each layer's matrix with the
+        strides a product of one layer takes: C-contiguous copies for
+        multi-row products, the transposed views for one-row ones.  A stack
+        of transposed views built the wrong way is column-major per layer,
+        which rounds like the views at width 40 and 2-7 rows."""
+        params = make_params(3, 40, 3, seed=2)
+        weights = stacked_weights(params, rows)
+        one_row = rows[-1] == 1
+        pairs = [(weights.w0, params.layers[0].wx)]
+        pairs += [(weights.wx_t[j - 1], params.layers[j].wx) for j in (1, 2)]
+        pairs += [(weights.wh_t[j], params.layers[j].wh) for j in range(3)]
+        for stacked, w in pairs:
+            item = stacked.reshape(stacked.shape[-2:])
+            assert item.tobytes() == w.T.tobytes()
+            assert item.strides == (w.T.strides if one_row else (8 * w.shape[0], 8))
+        assert weights.b.shape == (3, *(1,) * len(rows), 160)
+        assert stacked_weights(make_params(3, 40, 1, seed=2), rows).wx_t is None
+
     def test_workspace_gives_the_same_bytes_and_leaves_state(self):
         """lstm_cell writing into a workspace gives the bytes of a call that
         allocates, on every row shape the package uses, reusing the
-        workspace; the state arrays are never written."""
+        workspace; c_prev is never written, and a workspace whose c is
+        c_prev itself, or that takes the gates one slab each, gives the same
+        bytes."""
         rng = np.random.default_rng(44)
-        for in_size, hidden in [(3, 6), (40, 40)]:
-            layer = make_params(in_size, hidden, 1, seed=hidden).layers[0]
-            for shape in [(in_size,), (1, in_size), (5, 1, in_size), (32, in_size), (2, 13, 8, in_size)]:
-                work = cell_workspace(shape[:-1], hidden)
+        for hidden in (6, 40):
+            for shape in [(), (1,), (5, 1), (32,), (2, 13, 8), (2, 32)]:
+                work = cell_workspace(shape, hidden)
+                slabs = np.empty((4, *shape, hidden))
                 for _ in range(2):
-                    x = rng.normal(0.0, 1.0, shape)
-                    state = tuple(rng.normal(0.0, 0.5, (*shape[:-1], hidden)) for _ in range(2))
-                    before = [s.copy() for s in state]
-                    h, c, gates = lstm_cell(x, state, layer)
-                    h_w, c_w, gates_w = lstm_cell(x, state, layer, work)
+                    a = rng.normal(0.0, 2.0, (*shape, 4 * hidden))
+                    c_prev = rng.normal(0.0, 0.5, (*shape, hidden))
+                    before = c_prev.copy()
+                    h, c, gates = lstm_cell(a.copy(), c_prev)
+                    h_w, c_w, gates_w = lstm_cell(a.copy(), c_prev, work)
                     assert h_w is work.h and c_w is work.c
                     assert h_w.tobytes() == h.tobytes() and c_w.tobytes() == c.tobytes()
                     for g, g_w in zip(gates, gates_w):
-                        assert np.ascontiguousarray(g_w).tobytes() == np.ascontiguousarray(g).tobytes()
-                    for s, s0 in zip(state, before):
-                        assert s.tobytes() == s0.tobytes()
+                        assert g_w.tobytes() == g.tobytes()
+                    assert c_prev.tobytes() == before.tobytes()
+                    h_s, c_s, gates_s = lstm_cell(a.copy(), c_prev, work._replace(gg=slabs[2], slabs=slabs))
+                    assert h_s.tobytes() == h.tobytes() and c_s.tobytes() == c.tobytes()
+                    for g, g_s in zip(gates, gates_s):
+                        assert g_s.tobytes() == g.tobytes()
+                    assert all(g_s.base is slabs for g_s in gates_s[:4])
+                    lstm_cell(a.copy(), c_prev, work._replace(c=c_prev))
+                    assert c_prev.tobytes() == c.tobytes()
 
     def test_sigmoid_is_bit_identical_to_masked_form(self):
         """The mask-free sigmoid gives the masked form's bytes: at the edges, on
@@ -437,6 +469,34 @@ class TestGradients:
         with pytest.raises(ValueError, match="cannot hold 6 windows"):
             batch_loss_and_grad(z[[0] * 6], x[[0] * 6], scales[[0] * 6], params, 1e-6, buffers)
 
+    @pytest.mark.parametrize(
+        "hidden, layers",
+        [(16, 2), (40, 1), (40, 3)],
+        ids=["hidden-16", "one-layer", "three-layer"],
+    )
+    def test_buffers_of_another_network_are_a_value_error(self, hidden, layers):
+        """A buffer set built for another hidden size or layer count is one
+        ValueError naming both sets of shapes, before any work: not numpy's
+        matmul error, an IndexError that train's handler would miss, or a
+        set silently accepted."""
+        params = make_params(1, 40, 2, seed=3)
+        rng = np.random.default_rng(3)
+        z = rng.uniform(0.0, 30.0, (4, 11))
+        scales = rng.uniform(1.0, 10.0, 4)
+        buffers = batch_buffers(4, 10, make_params(1, hidden, layers, seed=3))
+        given = str(tuple(b.shape for b in buffers))
+        needed = str(tuple(b.shape for b in batch_buffers(4, 10, params)))
+        with pytest.raises(ValueError, match="cannot hold 4 windows of 10 steps") as err:
+            batch_loss_and_grad(z, None, scales, params, 1e-6, buffers)
+        assert given in str(err.value) and needed in str(err.value)
+
+    def test_buffers_of_another_length_are_a_value_error(self):
+        params = make_params(1, 5, 2, seed=3)
+        z = np.random.default_rng(3).uniform(0.0, 30.0, (4, 11))
+        for buffers in (batch_buffers(4, 9, params), batch_buffers(4, 10, params)[:3]):
+            with pytest.raises(ValueError, match="cannot hold 4 windows of 10 steps"):
+                batch_loss_and_grad(z, None, np.ones(4), params, 1e-6, buffers)
+
     def test_vector_round_trip(self):
         """to_vector / from_vector are inverse and preserve shapes."""
         params = make_params(3, 4, 2, seed=9)
@@ -447,6 +507,134 @@ class TestGradients:
             np.testing.assert_array_equal(a, b_arr)
         with pytest.raises(ValueError):
             params.from_vector(vec[:-1])
+
+
+def reference_pass(z, x, scales, params, floor=1e-6):
+    """The per-layer teacher-forced pass training ran before the wavefront:
+    forward step by step and layer by layer, then backward the same way in
+    reverse.  Returns the loss, the gradient and the top layer's rows (B, T,
+    hidden).  Written with the operations the package applies, in the same
+    order, so its bytes are the ones the wavefront must reproduce."""
+    inputs = input_rows(z[:, :-1] / scales[:, None], x, params)
+    targets = z[:, 1:] / scales[:, None]
+    n_batch, length, _ = inputs.shape
+    n_layers, hs = params.num_layers, params.hidden_size
+    h_all = np.zeros((length + 1, n_layers, n_batch, hs))
+    c_all = np.zeros_like(h_all)
+    gi_all, gf_all, gg_all, go_all, tc_all = (np.empty((length, n_layers, n_batch, hs)) for _ in range(5))
+    for t in range(length):
+        x_t = inputs[:, t, :]
+        for idx, layer in enumerate(params.layers):
+            wx_t, wh_t = (layer.wx_t, layer.wh_t) if n_batch > 1 else (layer.wx.T, layer.wh.T)
+            a = x_t @ wx_t + h_all[t, idx] @ wh_t + layer.b
+            gg = np.tanh(a[:, 2 * hs : 3 * hs])
+            s = masked_sigmoid(a)
+            gi, gf, go = s[:, :hs], s[:, hs : 2 * hs], s[:, 3 * hs :]
+            c = gf * c_all[t, idx] + gi * gg
+            tc = np.tanh(c)
+            h_all[t + 1, idx], c_all[t + 1, idx] = go * tc, c
+            gi_all[t, idx], gf_all[t, idx], gg_all[t, idx], go_all[t, idx], tc_all[t, idx] = gi, gf, gg, go, tc
+            x_t = h_all[t + 1, idx]
+    top_h = h_all[1:, n_layers - 1].transpose(1, 0, 2)
+    raw = top_h @ params.head_w.T + params.head_b
+    mu, s_pre = raw[:, :, 0], raw[:, :, 1]
+    sigma = softplus(s_pre) + floor
+    loss = float(np.mean(gaussian_nll(targets, mu, sigma, 1.0)))
+    inv_count = 1.0 / (n_batch * length)
+    d_mu = (mu - targets) / (sigma * sigma) * inv_count
+    resid = targets - mu
+    d_spre = (1.0 / sigma - resid * resid / sigma**3) * inv_count * sigmoid(s_pre)
+    d_raw = np.stack([d_mu, d_spre], axis=2)
+    d_head_w = np.einsum("btr,bth->rh", d_raw, top_h)
+    d_head_b = d_raw.sum(axis=(0, 1))
+    d_top = d_raw @ params.head_w
+    d_wx = [np.zeros_like(layer.wx) for layer in params.layers]
+    d_wh = [np.zeros_like(layer.wh) for layer in params.layers]
+    d_b = [np.zeros_like(layer.b) for layer in params.layers]
+    dh_next = np.zeros((n_layers, n_batch, hs))
+    dc_next = np.zeros((n_layers, n_batch, hs))
+    da = np.empty((n_batch, 4 * hs))
+    for t in range(length - 1, -1, -1):
+        dx_above = None
+        for idx in range(n_layers - 1, -1, -1):
+            dh = dh_next[idx] + (d_top[:, t] if dx_above is None else dx_above)
+            gi, gf, gg, go, tc = (cache[t, idx] for cache in (gi_all, gf_all, gg_all, go_all, tc_all))
+            dct = dc_next[idx] + dh * go * (1.0 - tc * tc)
+            da[:, :hs] = dct * gg * gi * (1.0 - gi)
+            da[:, hs : 2 * hs] = dct * c_all[t, idx] * gf * (1.0 - gf)
+            da[:, 2 * hs : 3 * hs] = dct * gi * (1.0 - gg * gg)
+            da[:, 3 * hs :] = dh * tc * go * (1.0 - go)
+            dc_next[idx] = dct * gf
+            layer = params.layers[idx]
+            x_in = inputs[:, t, :] if idx == 0 else h_all[t + 1, idx - 1]
+            d_wx[idx] += da.T @ x_in
+            d_wh[idx] += da.T @ h_all[t, idx]
+            d_b[idx] += da.sum(axis=0)
+            dh_next[idx] = da @ layer.wh
+            dx_above = da @ layer.wx if idx > 0 else None
+    grads = NetworkParams(tuple(map(LayerParams, d_wx, d_wh, d_b)), d_head_w, d_head_b)
+    return loss, grads, top_h
+
+
+class TestWavefront:
+    """Training and the encoder advance every layer of a teacher-forced pass
+    in one call per wavefront; only the call schedule differs from running
+    the layers one at a time, so not one byte does."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("in_size", [1, 3])
+    def test_training_pass_matches_the_per_layer_loop(self, n_layers, in_size):
+        """Loss, every gradient array and the top layer's rows, at full and
+        partial batches (a partial one uses the leading rows of a bigger
+        buffer set), including batches of 1 and of 2-7 windows, which take
+        other BLAS paths at width 40."""
+        rng = np.random.default_rng(10 * n_layers + in_size)
+        params = make_params(in_size, 40, n_layers, seed=n_layers)
+        params = params.from_vector(params.to_vector() * 4.0)  # gates away from 0.5
+        t_len = 23
+        buffers = batch_buffers(32, t_len, params)
+        for b in (32, 5, 1, 2, 17):
+            z = rng.uniform(0.0, 80.0, (b, t_len + 1))
+            z[0, 0] = 0.0  # a window at a series' start
+            x = rng.normal(0.0, 1.0, (b, t_len, in_size - 1)) if in_size > 1 else None
+            scales = rng.uniform(1.0, 40.0, b)
+            loss, grads = batch_loss_and_grad(z, x, scales, params, 1e-6, buffers)
+            ref_loss, ref_grads, ref_top = reference_pass(z, x, scales, params)
+            assert loss == ref_loss
+            for g, g_ref in zip(grads.arrays(), ref_grads.arrays()):
+                assert g.shape == g_ref.shape and g.tobytes() == g_ref.tobytes()
+            top = buffers[0][n_layers:, n_layers - 1, :b].transpose(1, 0, 2)
+            assert top.tobytes() == np.ascontiguousarray(ref_top).tobytes()
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_encoder_matches_a_per_step_advance_loop(self, n_layers):
+        """forward_window over S windows gives the bytes of advancing S
+        one-row slices step by step through every layer in turn, as the
+        encoder did before the wavefront: locations, spreads and final
+        state."""
+        rng = np.random.default_rng(n_layers)
+        params = make_params(3, 40, n_layers, seed=n_layers)
+        params = params.from_vector(params.to_vector() * 4.0)
+        n_series, length = 5, 17
+        z = rng.uniform(0.0, 50.0, (n_series, length))
+        x = rng.normal(0.0, 1.0, (n_series, length, 2))
+        scales = rng.uniform(1.0, 30.0, n_series)
+        mu, sigma, (h, c) = forward_window(z, x, params, scales, 1e-6)
+        inputs = input_rows(z / scales[:, None], x, params)
+        h_ref = np.zeros((n_layers, n_series, 1, 40))
+        c_ref = np.zeros_like(h_ref)
+        work = cell_workspace((n_series, 1), 40)
+        mu_ref, sigma_ref = np.empty_like(z), np.empty_like(z)
+        for t in range(length):
+            mu_ref[:, t : t + 1], sigma_ref[:, t : t + 1] = advance(
+                inputs[:, t : t + 1, :], h_ref, c_ref, params, 1e-6, work
+            )
+        assert mu.tobytes() == mu_ref.tobytes() and sigma.tobytes() == sigma_ref.tobytes()
+        assert h.tobytes() == np.ascontiguousarray(h_ref[..., 0, :]).tobytes()
+        assert c.tobytes() == np.ascontiguousarray(c_ref[..., 0, :]).tobytes()
+        # one window alone: the same bytes as its row of the stack
+        mu_1, _, (h_1, _) = forward_window(z[2], x[2], params, scales[2], 1e-6)
+        assert mu_1.tobytes() == mu[2].tobytes() and h_1.tobytes() == np.ascontiguousarray(h[:, 2]).tobytes()
 
 
 class TestDerivedTransposes:
@@ -880,36 +1068,43 @@ class TestForecasting:
             assert not eps[:, 3:].any()
 
     def test_encoder_and_decoder_share_parameters(self, monkeypatch):
-        """The conditioning pass and the sampling loop run the same cell on the
-        same parameter objects."""
+        """The conditioning pass and the sampling loop run the same parameter
+        object through the one gate math: one cell call per wavefront in
+        the encoder, one per layer and step in the sampler."""
         import cellcast.deepar.forecasting as fc
         import cellcast.deepar.network as net
 
-        fw_params = []
-        cell_layers = {"encoder": set(), "decoder": set()}
+        params_seen = {"encoder": [], "decoder": []}
+        cell_calls = {"encoder": 0, "decoder": 0}
         in_encoder = []
-        real_fw, real_cell = fc.forward_window, net.lstm_cell
+        real_fw, real_advance, real_cell = fc.forward_window, fc.advance, net.lstm_cell
 
         def spy_fw(z_lags, x_window, params, scale, sigma_floor):
-            fw_params.append(id(params))
+            params_seen["encoder"].append(id(params))
             in_encoder.append(True)
             try:
                 return real_fw(z_lags, x_window, params, scale, sigma_floor)
             finally:
                 in_encoder.pop()
 
-        def spy_cell(x, state, layer, work=None):
-            cell_layers["encoder" if in_encoder else "decoder"].add(id(layer))
-            return real_cell(x, state, layer, work)
+        def spy_advance(x, h, c, params, sigma_floor, work=None):
+            params_seen["decoder"].append(id(params))
+            return real_advance(x, h, c, params, sigma_floor, work)
+
+        def spy_cell(a, c_prev, work=None):
+            cell_calls["encoder" if in_encoder else "decoder"] += 1
+            return real_cell(a, c_prev, work)
 
         monkeypatch.setattr(fc, "forward_window", spy_fw)
+        monkeypatch.setattr(fc, "advance", spy_advance)
         monkeypatch.setattr(net, "lstm_cell", spy_cell)
         model = tiny_model(layers=2)
         rng = np.random.default_rng(8)
         sample_forecast(model, self.conditioning(rng), n_samples=2, seed=1)
-        layer_ids = {id(layer) for layer in model.params.layers}
-        assert fw_params == [id(model.params)]
-        assert cell_layers["encoder"] == cell_layers["decoder"] == layer_ids
+        cfg = model.train_config
+        assert params_seen["encoder"] == [id(model.params)]
+        assert params_seen["decoder"] == [id(model.params)] * cfg.horizon
+        assert cell_calls == {"encoder": cfg.context_length + 1, "decoder": 2 * cfg.horizon}
 
     def test_near_deterministic_head_tracks_greedy_replay(self):
         """With the spread squashed to the floor, every sampled path follows the

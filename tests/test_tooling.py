@@ -121,7 +121,7 @@ def test_only_store_states_the_model_file_version():
 
 def test_artifact_digests_script_names_every_artifact(tmp_path):
     """scripts/artifact_digests.py runs the whole pipeline and prints one
-    sha256 line per artifact and sidecar, 21 in all, sorted by name."""
+    sha256 line per artifact and sidecar, 25 in all, sorted by name."""
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "artifact_digests.py"), str(out)],
@@ -137,6 +137,8 @@ def test_artifact_digests_script_names_every_artifact(tmp_path):
         "forecast_samples.csv",
         "metrics.csv",
         "model.bin",
+        "model_1layer.bin",
+        "model_3layer.bin",
         "model_dow.bin",
         "model_nolma.bin",
         "panel.csv",
@@ -147,7 +149,7 @@ def test_artifact_digests_script_names_every_artifact(tmp_path):
         + [f"{name}.provenance.json" for name in artifacts]
         + [f"report_{name}" for name in reports]
     )
-    assert len(expected) == 21
+    assert len(expected) == 25
     assert [line.split("  ")[1] for line in lines] == expected
     for line in lines:
         digest, name = line.split("  ")
