@@ -17,15 +17,11 @@ from .deepar import (
     TrainedModel,
     TrainError,
     batch_loss_and_grad,
-    forward_window,
-    gaussian_nll,
     init_params,
     load_model,
-    lstm_cell,
     point_forecast,
     sample_forecast,
     save_model,
-    series_scale,
     train,
 )
 from .evalharness import (
@@ -83,8 +79,6 @@ __all__ = [
     "Forecast",
     "ForecastError",
     "ForecastGroup",
-    "forward_window",
-    "gaussian_nll",
     "generate_panel",
     "holt_winters",
     "HoltWintersConfig",
@@ -97,7 +91,6 @@ __all__ = [
     "LmaError",
     "load_model",
     "load_panel",
-    "lstm_cell",
     "NetworkParams",
     "PanelError",
     "point_forecast",
@@ -109,7 +102,6 @@ __all__ = [
     "seasonal_naive",
     "SeasonalNaiveForecaster",
     "series_params",
-    "series_scale",
     "SeriesPanel",
     "split_panel",
     "SplitSpec",

@@ -8,14 +8,6 @@ trajectories by ancestral sampling.
 """
 
 from .params import LayerParams, NetworkParams, init_params
-from .network import (
-    forward_window,
-    gaussian_nll,
-    lstm_cell,
-    series_scale,
-    sigmoid,
-    softplus,
-)
 from .grad import batch_loss_and_grad
 
 from .training import TrainConfig, TrainedModel, TrainError, train
@@ -26,12 +18,6 @@ __all__ = [
     "LayerParams",
     "NetworkParams",
     "init_params",
-    "lstm_cell",
-    "forward_window",
-    "gaussian_nll",
-    "series_scale",
-    "sigmoid",
-    "softplus",
     "batch_loss_and_grad",
     "TrainConfig",
     "TrainedModel",

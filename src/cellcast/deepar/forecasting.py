@@ -155,8 +155,10 @@ def sample_forecast(
     ForecastGroup whose rows are bit-identical to sampling each series
     alone.
 
-    Seed ids must be non-negative ints (bools are not ids) and n_samples an
-    int >= 1; both are checked, with the other arguments, before any work.
+    Seed ids must be non-negative ints (bools are not ids), and n_samples
+    and horizon ints >= 1; all are checked, with the other arguments, before
+    any work.  Conditioning values whose mean overflows the series scale are
+    a ForecastError too.  The network behind this call checks nothing again.
     """
     conditioning = np.asarray(conditioning, dtype=np.float64)
     if conditioning.ndim == 1:
@@ -181,13 +183,12 @@ def _sample_group(
     seeds: Sequence[int | tuple[int, ...]],
 ) -> ForecastGroup:
     seeds = tuple(_seed_ids(s) for s in seeds)
-    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool) or n_samples < 1:
-        raise ForecastError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     cfg = model.train_config
     if horizon is None:
         horizon = cfg.horizon
-    if horizon < 1:
-        raise ForecastError(f"horizon must be >= 1, got {horizon}")
+    for name, count in (("n_samples", n_samples), ("horizon", horizon)):
+        if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+            raise ForecastError(f"{name} must be an integer >= 1, got {count!r}")
     n_series, m = conditioning.shape
     context = cfg.context_length
     if m < context:
@@ -218,9 +219,12 @@ def _sample_group(
         if not np.all(np.isfinite(covariates)):
             raise ForecastError("non-finite covariate values")
 
-    z, x_enc, scales = cut_windows(
-        conditioning, covariates, np.arange(n_series), np.full(n_series, m - context), context, context
-    )
+    try:
+        z, x_enc, scales = cut_windows(
+            conditioning, covariates, np.arange(n_series), np.full(n_series, m - context), context, context
+        )
+    except ValueError as exc:  # the series scale overflows
+        raise ForecastError(str(exc)) from exc
     # The encoder advances every series in one call per step, each as its own
     # one-row slice, so each keeps the (1, D) product it has alone.
     _, _, (enc_h, enc_c) = forward_window(z[:, :-1], x_enc, model.params, scales, cfg.sigma_floor)

@@ -175,7 +175,10 @@ def batch_loss_and_grad(
     z_windows is (B, T+1): a seed lag followed by T observed targets per
     window, in data units.  x_windows is (B, T, K) covariate rows aligned
     with the targets, or None for a covariate-free model.  scales holds the
-    per-window scale applied to both lags and targets.  Non-finite head
+    per-window scale applied to both lags and targets.  This is a public
+    boundary: inputs of the wrong shape or with non-finite values, a scale
+    or sigma_floor that is not positive and covariates that do not match
+    the model's channels are a ValueError, before any work.  Non-finite head
     outputs, loss or gradient raise ValueError (the outputs through
     gaussian_nll, the gradient through the NetworkParams checks), which is
     how a diverging run shows.  buffers, from ``batch_buffers(B_max, T,
@@ -196,6 +199,19 @@ def batch_loss_and_grad(
         raise ValueError("scales must be finite and positive")
     if sigma_floor <= 0.0:
         raise ValueError("sigma_floor must be positive")
+    n_channels = params.input_size - 1
+    if n_channels == 0 and x_windows is not None:
+        raise ValueError("model takes no covariates but covariates were given")
+    if n_channels:
+        if x_windows is None:
+            raise ValueError(f"model expects {n_channels} covariate channels, got none")
+        x_windows = np.asarray(x_windows, dtype=np.float64)
+        if x_windows.shape != (n_batch, length, n_channels):
+            raise ValueError(
+                f"expected covariates of shape {(n_batch, length, n_channels)}, got {x_windows.shape}"
+            )
+        if not np.all(np.isfinite(x_windows)):
+            raise ValueError("non-finite covariate values")
     if buffers is None:
         buffers = batch_buffers(n_batch, length, params)
     else:
@@ -206,12 +222,12 @@ def batch_loss_and_grad(
                 f"buffers of shapes {given} cannot hold {n_batch} windows of {length} steps"
                 f" of this network, which needs {_buffer_shapes(n_batch, length, params)}"
             )
-    inputs = input_rows(z_windows[:, :-1] / scales[:, None], x_windows, params)
+    inputs = input_rows(z_windows[:, :-1] / scales[:, None], x_windows)
     steps = inputs.transpose(1, 0, 2)
     targets = z_windows[:, 1:] / scales[:, None]
     mu, s_pre, caches = _forward_batch(steps, params, buffers)
     sigma = softplus(s_pre) + sigma_floor
-    loss = float(np.mean(gaussian_nll(targets, mu, sigma, 1.0)))
+    loss = float(np.mean(gaussian_nll(targets, mu, sigma)))
     if not math.isfinite(loss):
         raise ValueError(f"non-finite batch loss {loss}")
     inv_count = 1.0 / (n_batch * length)

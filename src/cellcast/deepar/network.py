@@ -15,6 +15,12 @@ each step's draw back as the next input and advances layer by layer
 (``advance``).  ``cut_windows`` turns panel windows into the pass's inputs
 (seed lag, channels, scale) for training and the forecast encoder alike.
 Everything here is deterministic; sampling lives in forecasting.
+
+Nothing here checks its inputs: ``train``, ``sample_forecast``,
+``batch_loss_and_grad`` and the model store check them once, at the public
+boundary.  Two faults that only the arithmetic shows still raise ValueError:
+a series scale that overflows, which the boundary retypes, and non-finite
+likelihood parameters, which is how a diverging run shows.
 """
 
 from __future__ import annotations
@@ -292,14 +298,10 @@ def wavefront(
 
 def series_scale(conditioning: np.ndarray) -> np.float64 | np.ndarray:
     """Scale applied to model inputs, 1 + mean of the conditioning range:
-    one per range of (..., L), a scalar for one 1-D range."""
+    one per range of (..., L), a scalar for one 1-D range.  The ranges are
+    trusted to be nonempty, finite and non-negative; a mean that overflows
+    float64 is a ValueError, which ``train`` and ``sample_forecast`` retype."""
     values = np.asarray(conditioning, dtype=np.float64)
-    if values.ndim == 0 or values.shape[-1] == 0:
-        raise ValueError("conditioning range must be a nonempty sequence")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite values in conditioning range")
-    if np.any(values < 0):
-        raise ValueError("negative values in conditioning range")
     # Values near the float64 limit overflow the sum; the check below
     # reports that once, in place of numpy's warning.
     with np.errstate(over="ignore"):
@@ -335,46 +337,22 @@ def cut_windows(
     return z, x, series_scale(z[:, 1 : context + 1])
 
 
-def gaussian_nll(
-    z: np.ndarray, mu: np.ndarray, sigma: np.ndarray, scale: float
-) -> np.ndarray:
-    """Elementwise negative log density of z/scale under Normal(mu, sigma)."""
-    z, mu, sigma = (np.asarray(v, dtype=np.float64) for v in (z, mu, sigma))
-    scale = float(scale)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("target value must be finite")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+def gaussian_nll(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Elementwise negative log density of z under Normal(mu, sigma), for
+    finite targets z on the network's scale and sigma > 0, as the callers
+    give.  Non-finite mu or sigma is a ValueError: that is how a diverging
+    run shows."""
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
         raise ValueError("non-finite likelihood parameters")
-    if np.any(sigma <= 0.0):
-        raise ValueError("sigma must be positive")
-    resid = z / scale - mu
+    resid = z - mu
     return 0.5 * np.log(2.0 * math.pi * sigma * sigma) + resid * resid / (2.0 * sigma * sigma)
 
 
-def input_rows(
-    lags: np.ndarray, covariates: np.ndarray | None, params: NetworkParams
-) -> np.ndarray:
-    """Network inputs (..., L, 1+K): scaled lags (..., L) next to covariate rows.
-
-    covariates is (..., L, K) for a model with K channels and None for a
-    covariate-free one; anything else, or a non-finite value, is rejected.
-    """
-    n_channels = params.input_size - 1
-    if n_channels == 0:
-        if covariates is not None:
-            raise ValueError("model takes no covariates but covariates were given")
-        return lags[..., None]
+def input_rows(lags: np.ndarray, covariates: np.ndarray | None) -> np.ndarray:
+    """Network inputs (..., L, 1+K): scaled lags (..., L) next to covariate
+    rows (..., L, K), or the lags alone when covariates is None."""
     if covariates is None:
-        raise ValueError(f"model expects {n_channels} covariate channels, got none")
-    covariates = np.asarray(covariates, dtype=np.float64)
-    if covariates.shape != (*lags.shape, n_channels):
-        raise ValueError(
-            f"expected covariates of shape {(*lags.shape, n_channels)}, got {covariates.shape}"
-        )
-    if not np.all(np.isfinite(covariates)):
-        raise ValueError("non-finite covariate values")
+        return lags[..., None]
     return np.concatenate([lags[..., None], covariates], axis=-1)
 
 
@@ -398,21 +376,12 @@ def forward_window(
     wavefront, but each window keeps its own one-row products, so each
     window's results are bit-identical to running it alone, one layer and
     one step at a time.  The outputs gain the same leading axes: (..., L)
-    and (layers, ..., hidden).
+    and (layers, ..., hidden).  The inputs are trusted: ``sample_forecast``
+    checks them.
     """
     z_lags = np.asarray(z_lags, dtype=np.float64)
     scale = np.asarray(scale, dtype=np.float64)
-    if z_lags.ndim == 0 or z_lags.shape[-1] == 0:
-        raise ValueError("z_lags must be a nonempty sequence per window")
-    if not np.all(np.isfinite(z_lags)):
-        raise ValueError("non-finite lagged targets")
-    if scale.shape != z_lags.shape[:-1]:
-        raise ValueError(f"expected one scale per window {z_lags.shape[:-1]}, got {scale.shape}")
-    if not (np.all(np.isfinite(scale)) and np.all(scale > 0.0)):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    if sigma_floor <= 0.0:
-        raise ValueError("sigma_floor must be positive")
-    inputs = input_rows(z_lags / scale[..., None], x_window, params)
+    inputs = input_rows(z_lags / scale[..., None], x_window)
     rows = (*z_lags.shape[:-1], 1)
     n_layers, length = params.num_layers, z_lags.shape[-1]
     h = np.zeros((n_layers, *rows, params.hidden_size))

@@ -173,7 +173,8 @@ def train(
     covariates must be what the model's configs build from this panel,
     ``assemble_covariates(panel, lma_config, cfg.horizon,
     day_of_week=cfg.day_of_week)``, which is what a forecast from the model
-    rebuilds; anything else is a TrainError.  lma_config is carried into
+    rebuilds; anything else is a TrainError, as is a panel whose values
+    overflow a window's series scale.  lma_config is carried into
     the result so a reloaded model can rebuild its channels.  One set of
     forward caches (``batch_buffers``) serves every batch of the run and is
     freed when train returns.
@@ -216,9 +217,12 @@ def train(
         loss_sum = 0.0
         for batch_no, lo in enumerate(range(0, n_windows, cfg.batch_size), start=1):
             batch = order[lo : lo + cfg.batch_size]
-            z_windows, x_windows, scales = cut_windows(
-                panel.values, channels, batch // wps, offsets[batch], window_len, cfg.context_length
-            )
+            try:
+                z_windows, x_windows, scales = cut_windows(
+                    panel.values, channels, batch // wps, offsets[batch], window_len, cfg.context_length
+                )
+            except ValueError as exc:  # a window's series scale overflows
+                raise TrainError(str(exc)) from exc
             par = params.from_vector(theta)
             # The inputs are valid, so a ValueError here is a non-finite loss
             # or gradient: the run diverged.  It is reported before the update

@@ -21,28 +21,30 @@ from cellcast import (
     TrainConfig,
     TrainedModel,
     TrainError,
-    forward_window,
-    gaussian_nll,
     init_params,
     load_model,
-    lstm_cell,
     point_forecast,
     sample_forecast,
     save_model,
-    series_scale,
     substream,
     train,
 )
-from cellcast.deepar import (
-    LayerParams,
-    ModelStoreError,
-    batch_loss_and_grad,
-    sigmoid,
-    softplus,
-)
+from cellcast.deepar import LayerParams, ModelStoreError, batch_loss_and_grad
 from cellcast.deepar.grad import batch_buffers
 from cellcast.deepar import training
-from cellcast.deepar.network import advance, cell_workspace, cut_windows, input_rows, stacked_weights
+from cellcast.deepar.network import (
+    advance,
+    cell_workspace,
+    cut_windows,
+    forward_window,
+    gaussian_nll,
+    input_rows,
+    lstm_cell,
+    series_scale,
+    sigmoid,
+    softplus,
+    stacked_weights,
+)
 from cellcast.deepar.training import step_size
 from cellcast.panel import SeriesPanel
 import datetime as dt
@@ -291,12 +293,6 @@ class TestCellMath:
         """scale = 1 + mean of the conditioning range, one per row."""
         assert series_scale(np.array([1.0, 2.0, 3.0])) == 3.0
         assert series_scale(np.array([0.0])) == 1.0
-        with pytest.raises(ValueError):
-            series_scale(np.array([]))
-        with pytest.raises(ValueError):
-            series_scale(np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            series_scale(np.array([1.0, np.nan]))
         # a (B, L) range gives one scale per row, each the bytes of the row's own
         rows = np.random.default_rng(1).uniform(0.0, 50.0, (5, 13))
         scales = series_scale(rows)
@@ -341,43 +337,19 @@ class TestCellMath:
 
     def test_gaussian_nll_pinned(self):
         """At the mode with unit sigma the NLL is 0.5*log(2*pi); off-mode adds the squared residual."""
-        nll = gaussian_nll(2.0 * 7.0, 2.0, 1.0, 7.0)
+        nll = gaussian_nll(2.0, 2.0, 1.0)
         np.testing.assert_allclose(nll, 0.5 * math.log(2.0 * math.pi), rtol=1e-12)
         assert abs(nll - 0.9189385) < 1e-7
-        off = gaussian_nll(3.0, 0.0, 2.0, 1.0)
+        off = gaussian_nll(3.0, 0.0, 2.0)
         np.testing.assert_allclose(
             off, 0.5 * math.log(2.0 * math.pi * 4.0) + 9.0 / 8.0, rtol=1e-12
         )
-        both = gaussian_nll(np.array([14.0, 7.0]), np.array([2.0, 0.0]), np.array([1.0, 2.0]), 7.0)
+        both = gaussian_nll(np.array([2.0, 1.0]), np.array([2.0, 0.0]), np.array([1.0, 2.0]))
         np.testing.assert_allclose(
             both, [nll, 0.5 * math.log(2.0 * math.pi * 4.0) + 1.0 / 8.0], rtol=1e-12
         )
-        with pytest.raises(ValueError):
-            gaussian_nll(math.inf, 2.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            gaussian_nll(1.0, 2.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            gaussian_nll(1.0, 2.0, 0.0, 1.0)  # sigma must be positive
         with pytest.raises(ValueError, match="^non-finite"):
-            gaussian_nll(1.0, math.nan, 1.0, 1.0)  # training reports divergence with this
-
-    def test_forward_window_validation(self):
-        """Shape and finiteness violations are rejected."""
-        params = make_params(3, 2, 1, seed=3)
-        z = np.array([1.0, 2.0])
-        with pytest.raises(ValueError):
-            forward_window(z, None, params, 1.0)  # missing covariates
-        with pytest.raises(ValueError):
-            forward_window(z, np.zeros((2, 3)), params, 1.0)  # wrong channel count
-        with pytest.raises(ValueError):
-            forward_window(z, np.zeros((3, 2)), params, 1.0)  # wrong length
-        with pytest.raises(ValueError):
-            forward_window(z, np.zeros((2, 2)), params, 0.0)  # bad scale
-        with pytest.raises(ValueError):
-            forward_window(np.stack([z, z]), np.zeros((2, 2, 2)), params, 1.0)  # one scale, two windows
-        plain = make_params(1, 2, 1, seed=3)
-        with pytest.raises(ValueError):
-            forward_window(z, np.zeros((2, 1)), plain, 1.0)  # unexpected covariates
+            gaussian_nll(1.0, math.nan, 1.0)  # training reports divergence with this
 
 
 class TestGradients:
@@ -402,7 +374,7 @@ class TestGradients:
                 mu, sigma, _ = forward_window(
                     z[i, :-1], x[i] if k else None, params, scales[i]
                 )
-                ref.extend(gaussian_nll(z[i, 1:], mu, sigma, scales[i]))
+                ref.extend(gaussian_nll(z[i, 1:] / scales[i], mu, sigma))
             np.testing.assert_allclose(loss, np.mean(ref), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -490,6 +462,32 @@ class TestGradients:
             batch_loss_and_grad(z, None, scales, params, 1e-6, buffers)
         assert given in str(err.value) and needed in str(err.value)
 
+    def test_bad_inputs_are_value_errors(self):
+        """batch_loss_and_grad is a public boundary: covariates that are
+        missing, of the wrong channel count or length, given to a channel-free
+        model, or non-finite, and non-finite targets, scales that are not
+        positive or not one per window, and a sigma floor that is not
+        positive are each a ValueError naming the fault."""
+        params = make_params(3, 2, 1, seed=3)
+        plain = make_params(1, 2, 1, seed=3)
+        z = np.array([[1.0, 2.0, 3.0]])
+        x = np.zeros((1, 2, 2))
+        ones = np.array([1.0])
+        cases = [
+            ((z, None, ones, params), "expects 2 covariate channels"),
+            ((z, np.zeros((1, 2, 3)), ones, params), "covariates of shape"),
+            ((z, np.zeros((1, 3, 2)), ones, params), "covariates of shape"),
+            ((z, np.zeros((1, 2, 1)), ones, plain), "takes no covariates"),
+            ((z, np.array([[[0.0, 1.0], [np.inf, 0.0]]]), ones, params), "non-finite covariate"),
+            ((np.array([[1.0, np.inf, 3.0]]), x, ones, params), "non-finite values in z_windows"),
+            ((z, x, np.array([0.0]), params), "scales must be finite and positive"),
+            ((z, x, np.ones(2), params), "expected 1 scales"),
+            ((z, x, ones, params, 0.0), "sigma_floor must be positive"),
+        ]
+        for args, phrase in cases:
+            with pytest.raises(ValueError, match=phrase):
+                batch_loss_and_grad(*args)
+
     def test_buffers_of_another_length_are_a_value_error(self):
         params = make_params(1, 5, 2, seed=3)
         z = np.random.default_rng(3).uniform(0.0, 30.0, (4, 11))
@@ -515,7 +513,7 @@ def reference_pass(z, x, scales, params, floor=1e-6):
     reverse.  Returns the loss, the gradient and the top layer's rows (B, T,
     hidden).  Written with the operations the package applies, in the same
     order, so its bytes are the ones the wavefront must reproduce."""
-    inputs = input_rows(z[:, :-1] / scales[:, None], x, params)
+    inputs = input_rows(z[:, :-1] / scales[:, None], x)
     targets = z[:, 1:] / scales[:, None]
     n_batch, length, _ = inputs.shape
     n_layers, hs = params.num_layers, params.hidden_size
@@ -539,7 +537,7 @@ def reference_pass(z, x, scales, params, floor=1e-6):
     raw = top_h @ params.head_w.T + params.head_b
     mu, s_pre = raw[:, :, 0], raw[:, :, 1]
     sigma = softplus(s_pre) + floor
-    loss = float(np.mean(gaussian_nll(targets, mu, sigma, 1.0)))
+    loss = float(np.mean(gaussian_nll(targets, mu, sigma)))
     inv_count = 1.0 / (n_batch * length)
     d_mu = (mu - targets) / (sigma * sigma) * inv_count
     resid = targets - mu
@@ -620,7 +618,7 @@ class TestWavefront:
         x = rng.normal(0.0, 1.0, (n_series, length, 2))
         scales = rng.uniform(1.0, 30.0, n_series)
         mu, sigma, (h, c) = forward_window(z, x, params, scales, 1e-6)
-        inputs = input_rows(z / scales[:, None], x, params)
+        inputs = input_rows(z / scales[:, None], x)
         h_ref = np.zeros((n_layers, n_series, 1, 40))
         c_ref = np.zeros_like(h_ref)
         work = cell_workspace((n_series, 1), 40)
@@ -825,6 +823,16 @@ class TestTraining:
             warnings.simplefilter("error")
             with pytest.raises(TrainError, match=r"diverged at epoch 1, batch 2: non-finite"):
                 train(sinusoid_panel(), None, cfg)
+
+    def test_overflowing_series_scale_is_a_train_error(self):
+        """Values whose window mean overflows float64 end as one TrainError
+        naming the cause, with no numpy warning."""
+        panel = sinusoid_panel(n_series=2, n_steps=20)
+        huge = SeriesPanel(panel.series_ids, panel.start_date, np.full(panel.values.shape, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainError, match="too large for the series scale"):
+                train(huge, None, self.small_cfg())
 
     def test_divergence_names_the_epoch_and_batch(self, monkeypatch):
         """Epoch and batch are 1-based and count across the run's epochs."""
@@ -1176,6 +1184,8 @@ class TestForecasting:
             sample_forecast(model, cond, cov, n_samples=0)
         with pytest.raises(ForecastError):
             sample_forecast(model, -cond, cov)
+        with pytest.raises(ForecastError, match="non-finite conditioning"):
+            sample_forecast(model, np.where(np.arange(10) == 8, np.nan, cond), cov)
         plain = tiny_model()
         with pytest.raises(ForecastError):
             sample_forecast(plain, cond, cov)  # covariates on a plain model
@@ -1209,6 +1219,37 @@ class TestForecasting:
         for n_samples in (2.0, True, "2"):
             with pytest.raises(ForecastError, match="n_samples"):
                 sample_forecast(plain, cond, n_samples=n_samples)
+
+    def test_horizon_must_be_an_integer(self, monkeypatch):
+        """A horizon that is not an int >= 1 is one ForecastError naming it,
+        raised before the encoder runs; a NumPy integer is an int."""
+        import cellcast.deepar.forecasting as fc
+
+        plain = tiny_model()
+        cond = self.conditioning(np.random.default_rng(14))
+        expected = sample_forecast(plain, cond, horizon=3, n_samples=2)
+        given = sample_forecast(plain, cond, horizon=np.int64(3), n_samples=2)
+        assert given.samples.tobytes() == expected.samples.tobytes()
+
+        def no_encoder(*args, **kwargs):
+            raise AssertionError("the encoder ran before the arguments were checked")
+
+        monkeypatch.setattr(fc, "forward_window", no_encoder)
+        for horizon in (2.5, "3", True, 0):
+            with pytest.raises(ForecastError, match="horizon must be an integer"):
+                sample_forecast(plain, cond, horizon=horizon)
+
+    def test_overflowing_series_scale_is_a_forecast_error(self):
+        """Conditioning whose mean overflows float64 is one ForecastError
+        naming the cause, with no numpy warning, alone and in a group."""
+        plain = tiny_model()
+        cond = np.full(10, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ForecastError, match="too large for the series scale"):
+                sample_forecast(plain, cond)
+            with pytest.raises(ForecastError, match="too large for the series scale"):
+                sample_forecast(plain, np.stack([cond / 1e300, cond]), seed=[1, 2])
 
     def test_wider_covariates_are_cropped(self):
         """Trailing covariate columns past conditioning + horizon are ignored."""

@@ -1,6 +1,7 @@
 """Checks on what lives next to the package: the benchmark's hooks, the
 README's examples, the modules that own the CSV format and the use of a
-second CPU, and the byte-identity script.
+second CPU, the network's trust in its callers, and the byte-identity
+script.
 
 perfbench traces cellcast by wrapping module attributes by name, so a
 renamed or bypassed function silently drops its metrics; the smoke run
@@ -117,6 +118,21 @@ def test_only_store_states_the_model_file_version():
                     ):
                         owners.append(os.path.relpath(path, ROOT))
     assert owners == [os.path.join("src", "cellcast", "deepar", "store.py")]
+
+
+def test_network_trusts_its_callers():
+    """Inputs are checked once, at the public boundary (train,
+    sample_forecast, batch_loss_and_grad, the model store), so the network
+    module raises only for faults its arithmetic alone shows: a series scale
+    that overflows and non-finite likelihood parameters."""
+    path = os.path.join(ROOT, "src", "cellcast", "deepar", "network.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    raisers = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            raisers += [func.name for node in ast.walk(func) if isinstance(node, ast.Raise)]
+    assert sorted(raisers) == ["gaussian_nll", "series_scale"]
 
 
 def test_artifact_digests_script_names_every_artifact(tmp_path):
