@@ -10,7 +10,6 @@ from .baselines import BaselineError, HoltWintersConfig, holt_winters, seasonal_
 from .deepar import (
     Forecast,
     ForecastError,
-    ForecastGroup,
     LayerParams,
     NetworkParams,
     TrainConfig,
@@ -78,7 +77,6 @@ __all__ = [
     "feature_value",
     "Forecast",
     "ForecastError",
-    "ForecastGroup",
     "generate_panel",
     "holt_winters",
     "HoltWintersConfig",

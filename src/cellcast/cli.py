@@ -156,9 +156,9 @@ def cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> int:
     points = []
 
     def samples():
-        for fc in forecasts:
-            points.append(point_forecast(fc, forecaster.statistic))
-            yield fc.samples.T
+        for matrix in forecasts:
+            points.append(point_forecast(matrix, forecaster.statistic))
+            yield matrix.T
 
     ids = train_panel.series_ids
     keys = [(t, s) for t in steps for s in range(n_samples)]

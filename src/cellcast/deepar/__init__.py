@@ -11,7 +11,7 @@ from .params import LayerParams, NetworkParams, init_params
 from .grad import batch_loss_and_grad
 
 from .training import TrainConfig, TrainedModel, TrainError, train
-from .forecasting import Forecast, ForecastError, ForecastGroup, point_forecast, sample_forecast
+from .forecasting import Forecast, ForecastError, point_forecast, sample_forecast
 from .store import MODEL_FORMAT_VERSION, ModelStoreError, load_model, save_model
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "train",
     "Forecast",
     "ForecastError",
-    "ForecastGroup",
     "sample_forecast",
     "point_forecast",
     "MODEL_FORMAT_VERSION",

@@ -17,7 +17,7 @@ asked for (a larger request extends the matrix row-wise).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .training import TrainedModel
 __all__ = [
     "Forecast",
     "ForecastError",
-    "ForecastGroup",
     "group_size",
     "point_forecast",
     "sample_forecast",
@@ -77,55 +76,19 @@ def _seed_ids(seed: int | tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Forecast:
-    """Sampled trajectories in data units: (n_samples, horizon), all >= 0."""
+    """Sampled trajectories of a group of series, in data units.
+
+    samples is (series, n_samples, horizon), read-only, all >= 0; scales
+    (series,) holds each series' scale over the window the encoder replays.
+    """
 
     samples: np.ndarray
-    scale: float
-    seed: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] < 1:
-            raise ForecastError(f"samples must be (S, horizon) with S >= 1, got {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise ForecastError("non-finite values in forecast samples")
-        if np.any(samples < 0):
-            raise ForecastError("negative values in forecast samples")
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "seed", _seed_ids(self.seed))
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.samples.shape[1]
+    scales: np.ndarray
 
 
 def group_size(n_samples: int) -> int:
     """How many series one sampler call takes when each draws n_samples trajectories."""
     return max(1, GROUP_BLOCKS // max(1, -(-n_samples // BLOCK_ROWS)))
-
-
-@dataclass(frozen=True)
-class ForecastGroup:
-    """Forecasts of a group of series sampled together.
-
-    samples is (series, n_samples, horizon); iterating yields one Forecast
-    per series, in order.
-    """
-
-    samples: np.ndarray
-    scales: np.ndarray
-    seeds: tuple[tuple[int, ...], ...]
-
-    def __iter__(self) -> Iterator[Forecast]:
-        for samples, scale, seed in zip(self.samples, self.scales, self.seeds):
-            yield Forecast(samples, scale, seed)
 
 
 def sample_forecast(
@@ -135,53 +98,39 @@ def sample_forecast(
     *,
     horizon: int | None = None,
     n_samples: int = 100,
-    seed: int | tuple[int, ...] | Sequence[int | tuple[int, ...]] = 0,
-) -> Forecast | ForecastGroup:
-    """Draw n_samples trajectories over the steps after the conditioning range.
+    seeds: Sequence[int | tuple[int, ...]],
+) -> Forecast:
+    """Draw n_samples trajectories per series over the steps after the
+    conditioning range.
 
-    conditioning holds at least context_length observed values in data units.
-    covariates is (K, M + horizon) channel rows aligned with the conditioning
-    steps and extending through the horizon (extra trailing columns are
-    ignored), or None for a covariate-free model.  The scale is taken over
-    the last context_length conditioning steps, the same range the encoder
-    replays.  seed may be a tuple so callers can hand every series its own
-    sub-stream; trajectory s always draws from stream (*seed, s).
+    conditioning (S, M) holds S series of at least context_length observed
+    values in data units.  covariates is (S, K, M + horizon) channel rows
+    aligned with the conditioning steps and extending through the horizon
+    (extra trailing columns are ignored), or None for a covariate-free
+    model.  Each scale is taken over the series' last context_length
+    conditioning steps, the range the encoder replays.  seeds holds one
+    seed per series, an int or a tuple of ints, so callers can hand every
+    series its own sub-stream; trajectory s of series i always draws from
+    stream (*seeds[i], s).
 
-    A group of series of one length is sampled in one call: conditioning
-    (S, M), covariates (S, K, M + horizon) and seed a sequence of S seeds,
-    one per series.  The encoder runs once over all S series and every
-    trajectory's noise is keyed in one pass; the sampler then advances
-    ``group_size(n_samples)`` series at a time.  The result is a
-    ForecastGroup whose rows are bit-identical to sampling each series
-    alone.
+    The encoder runs once over all S series and every trajectory's noise is
+    keyed in one pass; the sampler then advances ``group_size(n_samples)``
+    series at a time.  Row i of the result is bit-identical to sampling
+    series i alone.
 
     Seed ids must be non-negative ints (bools are not ids), and n_samples
     and horizon ints >= 1; all are checked, with the other arguments, before
     any work.  Conditioning values whose mean overflows the series scale are
-    a ForecastError too.  The network behind this call checks nothing again.
+    a ForecastError too, and so is a draw that is not finite in data units.
+    The network behind this call checks nothing again.
     """
     conditioning = np.asarray(conditioning, dtype=np.float64)
-    if conditioning.ndim == 1:
-        cov = None if covariates is None else np.asarray(covariates, dtype=np.float64)[None]
-        (forecast,) = _sample_group(model, conditioning[None], cov, horizon, n_samples, [seed])
-        return forecast
     if conditioning.ndim != 2 or conditioning.shape[0] == 0:
         raise ForecastError(
-            f"conditioning must be one series (M,) or a group (S, M), got shape {conditioning.shape}"
+            f"conditioning must be a group of series (S, M), got shape {conditioning.shape}"
         )
-    if not isinstance(seed, (list, tuple)) or len(seed) != conditioning.shape[0]:
+    if not isinstance(seeds, (list, tuple)) or len(seeds) != conditioning.shape[0]:
         raise ForecastError(f"a group of {conditioning.shape[0]} series needs one seed per series")
-    return _sample_group(model, conditioning, covariates, horizon, n_samples, seed)
-
-
-def _sample_group(
-    model: TrainedModel,
-    conditioning: np.ndarray,
-    covariates: np.ndarray | None,
-    horizon: int | None,
-    n_samples: int,
-    seeds: Sequence[int | tuple[int, ...]],
-) -> ForecastGroup:
     seeds = tuple(_seed_ids(s) for s in seeds)
     cfg = model.train_config
     if horizon is None:
@@ -260,8 +209,14 @@ def _sample_group(
             mu, sigma = advance(x, h, c, params, cfg.sigma_floor, work)
             samples[lo:hi, ..., t] = x[..., 0] = mu + sigma * samples[lo:hi, ..., t]
     samples = samples.reshape(n_series, -1, horizon)[:, :n_samples]
-    np.multiply(samples, scales[:, None, None], out=samples)
-    return ForecastGroup(np.maximum(samples, 0.0, out=samples), scales, seeds)
+    # a draw that overflows in data units is this call's error, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(samples, scales[:, None, None], out=samples)
+    if not np.all(np.isfinite(samples)):
+        raise ForecastError("non-finite values in forecast samples")
+    np.maximum(samples, 0.0, out=samples)
+    samples.setflags(write=False)
+    return Forecast(samples, scales)
 
 
 def _noise(
@@ -284,12 +239,13 @@ def _noise(
     return eps
 
 
-def point_forecast(forecast: Forecast, statistic: str = "median") -> np.ndarray:
-    """Collapse the sample matrix to one value per step."""
+def point_forecast(samples: np.ndarray, statistic: str = "median") -> np.ndarray:
+    """Collapse sampled trajectories (..., n_samples, horizon) to one value
+    per step: one series' sample matrix, or a Forecast's samples."""
     if statistic == "median":
-        return np.median(forecast.samples, axis=0)
+        return np.median(samples, axis=-2)
     if statistic == "mean":
-        return forecast.samples.mean(axis=0)
+        return samples.mean(axis=-2)
     raise ForecastError(
         f"unknown point statistic {statistic!r}, expected one of {POINT_STATISTICS}"
     )

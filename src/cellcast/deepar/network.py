@@ -117,7 +117,7 @@ def cell_workspace(shape: tuple[int, ...], hidden_size: int) -> CellWork:
 
 
 def lstm_cell(
-    a: np.ndarray, c_prev: np.ndarray, work: CellWork | None = None
+    a: np.ndarray, c_prev: np.ndarray, work: CellWork
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The gate math of one step, for pre-activation rows a (..., 4 * hidden).
 
@@ -136,15 +136,13 @@ def lstm_cell(
     Every result is written into ``work`` (``cell_workspace(a.shape[:-1],
     hidden_size)``), so a caller that passes one workspace to every step
     allocates nothing per step; the results are then views of it that the
-    next call overwrites.  Without one the call allocates its own.  Either
-    way every element goes through the operations it would go through
-    without ``out=``, so the bytes do not depend on the workspace.  a is
-    overwritten; c_prev is only read, except that ``work.c`` may be c_prev
-    itself: each element is read before it is overwritten.
+    next call overwrites.  Every element goes through the operations it
+    would go through without ``out=``, so the bytes do not depend on the
+    workspace.  a is overwritten; c_prev is only read, except that
+    ``work.c`` may be c_prev itself: each element is read before it is
+    overwritten.
     """
     hs = a.shape[-1] // 4
-    if work is None:
-        work = cell_workspace(a.shape[:-1], hs)
     _, p, mask, gg, tc, h, c, slabs = work
     np.tanh(a[..., 2 * hs : 3 * hs], out=gg)
     # in place: fewer arrays, and in-place passes run faster than ones
@@ -179,21 +177,19 @@ def advance(
     c: np.ndarray,
     params: NetworkParams,
     sigma_floor: float,
-    work: CellWork | None = None,
+    work: CellWork,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One step of the stacked recurrence and the head for rows x (..., input_size).
 
     h and c are (layers, ..., hidden) and are updated in place.  Every layer
-    runs through ``work`` (``cell_workspace(x.shape[:-1], hidden)``), one
-    allocated for this call when None.  Returns the location and spread of
-    each row, both shaped like x without its last axis.
+    runs through ``work`` (``cell_workspace(x.shape[:-1], hidden)``).
+    Returns the location and spread of each row, both shaped like x without
+    its last axis.
 
     Products with more than one row (the sampler's 8-row blocks) multiply
     by the layer's C-contiguous copies ``wx_t``/``wh_t``, which is faster;
     one-row products by the transposed views, as ``stacked_weights`` does.
     """
-    if work is None:
-        work = cell_workspace(x.shape[:-1], params.hidden_size)
     one_row = x.ndim < 2 or x.shape[-2] == 1
     for idx, layer in enumerate(params.layers):
         wx_t, wh_t = (layer.wx.T, layer.wh.T) if one_row else (layer.wx_t, layer.wh_t)

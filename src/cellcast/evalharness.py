@@ -23,7 +23,7 @@ import numpy as np
 from ._fields import hashed_json, to_json
 from ._fork import in_halves
 from .baselines import HoltWintersConfig, holt_winters, seasonal_naive
-from .deepar import MODEL_FORMAT_VERSION, Forecast, TrainedModel, point_forecast, sample_forecast
+from .deepar import MODEL_FORMAT_VERSION, TrainedModel, point_forecast, sample_forecast
 from .deepar.forecasting import ROUND_GROUPS, group_size
 from .lma import assemble_covariates
 from .panel import SeriesPanel, SplitSpec, split_panel, write_step_table
@@ -135,8 +135,9 @@ class TrainedModelForecaster:
 
     Covariate channels are rebuilt from the training panel with the model's
     own configuration, the call ``train`` checks its covariates against, so
-    a reloaded model forecasts exactly like the original.  Series i draws its trajectories from stream (*seed_ids, i), so
-    each series' forecast is independent of the others.
+    a reloaded model forecasts exactly like the original.  Series i draws
+    its trajectories from stream (*seed_ids, i), so each series' forecast
+    is independent of the others.
     """
 
     model: TrainedModel
@@ -145,17 +146,18 @@ class TrainedModelForecaster:
 
     def forecasts(
         self, train_panel: SeriesPanel, horizon: int, seed_ids: tuple[int, ...] = (0,)
-    ) -> Iterator[Forecast]:
-        """One sampled Forecast per series, in panel order.
+    ) -> Iterator[np.ndarray]:
+        """One read-only (n_samples, horizon) sample matrix per series, in
+        panel order.
 
-        The horizon and channel checks and the covariate build run in this
-        call, before the first series is sampled.  The series go through
-        ``_fork.in_halves`` in rounds of ``ROUND_GROUPS`` groups of
-        ``group_size(n_samples)`` series, one sampler call per round: with
-        a second usable CPU a forked child samples the second half of each
-        round ahead, in a call of its own, while this process samples the
-        first half when the iterator reaches it.  Grouping and splitting
-        never change a byte.
+        The horizon check and the covariate build run in this call, and
+        ``sample_forecast`` checks the rest before the first series is
+        sampled.  The series go through ``_fork.in_halves`` in rounds of
+        ``ROUND_GROUPS`` groups of ``group_size(n_samples)`` series, one
+        sampler call per round: with a second usable CPU a forked child
+        samples the second half of each round ahead, in a call of its own,
+        while this process samples the first half when the iterator reaches
+        it.  Grouping and splitting never change a byte.
         """
         cfg = self.model.train_config
         if horizon > cfg.horizon:
@@ -165,22 +167,16 @@ class TrainedModelForecaster:
         cov = assemble_covariates(
             train_panel, self.model.lma_config, cfg.horizon, day_of_week=cfg.day_of_week
         )
-        n_channels = 0 if cov is None else cov.n_channels
-        if n_channels != self.model.n_channels:
-            raise EvalError(
-                f"panel produces {n_channels} covariate channels,"
-                f" model expects {self.model.n_channels}"
-            )
 
-        def sampling(lo: int, hi: int) -> Iterator[Forecast]:
-            yield from sample_forecast(
+        def sampling(lo: int, hi: int) -> np.ndarray:
+            return sample_forecast(
                 self.model,
                 train_panel.values[lo:hi],
                 cov.channels[lo:hi] if cov is not None else None,
                 horizon=horizon,
                 n_samples=self.n_samples,
-                seed=[(*seed_ids, i) for i in range(lo, hi)],
-            )
+                seeds=[(*seed_ids, i) for i in range(lo, hi)],
+            ).samples
 
         per_round = ROUND_GROUPS * group_size(self.n_samples)
         return in_halves(sampling, train_panel.n_series, per_round)
@@ -189,7 +185,7 @@ class TrainedModelForecaster:
         self, train_panel: SeriesPanel, horizon: int, seed_ids: tuple[int, ...] = (0,)
     ) -> np.ndarray:
         forecasts = self.forecasts(train_panel, horizon, seed_ids)
-        return np.array([point_forecast(fc, self.statistic) for fc in forecasts])
+        return np.array([point_forecast(samples, self.statistic) for samples in forecasts])
 
     def describe(self) -> dict:
         lma = self.model.lma_config

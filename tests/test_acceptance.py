@@ -134,16 +134,11 @@ def learning_run():
     model = train(train_panel, None, TrainConfig())
 
     horizon = test_panel.n_steps
-    preds = np.empty((panel.n_series, horizon))
-    lo = np.empty((panel.n_series, horizon))
-    hi = np.empty((panel.n_series, horizon))
-    for i in range(panel.n_series):
-        fc = sample_forecast(
-            model, train_panel.values[i], None, horizon=horizon, n_samples=100, seed=(1, i)
-        )
-        preds[i] = np.median(fc.samples, axis=0)
-        lo[i] = np.quantile(fc.samples, 0.1, axis=0)
-        hi[i] = np.quantile(fc.samples, 0.9, axis=0)
+    seeds = [(1, i) for i in range(panel.n_series)]
+    fc = sample_forecast(model, train_panel.values, None, horizon=horizon, n_samples=100, seeds=seeds)
+    preds = np.median(fc.samples, axis=1)
+    lo = np.quantile(fc.samples, 0.1, axis=1)
+    hi = np.quantile(fc.samples, 0.9, axis=1)
 
     actual = test_panel.values
     const = np.repeat(train_panel.values.mean(axis=1, keepdims=True), horizon, axis=1)
@@ -387,21 +382,16 @@ class TestAcceptance:
                 if n_channels
                 else None
             )
-            before = sample_forecast(
-                model, conditioning, covariates, horizon=horizon, n_samples=4, seed=(7, case)
-            )
+            group = (conditioning[None], None if covariates is None else covariates[None])
+            before = sample_forecast(model, *group, horizon=horizon, n_samples=4, seeds=[(7, case)])
             path = str(tmp_path / f"model_{case}.bin")
             save_model(model, path)
             after = sample_forecast(
-                load_model(path),
-                conditioning,
-                covariates,
-                horizon=horizon,
-                n_samples=4,
-                seed=(7, case),
+                load_model(path), *group, horizon=horizon, n_samples=4, seeds=[(7, case)]
             )
             if not (
-                np.array_equal(before.samples, after.samples) and before.scale == after.scale
+                np.array_equal(before.samples, after.samples)
+                and np.array_equal(before.scales, after.scales)
             ):
                 mismatches += 1
         ok = mismatches == 0

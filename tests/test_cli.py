@@ -11,6 +11,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -27,6 +29,7 @@ from cellcast import (
     TrainedModelForecaster,
     load_model,
     load_panel,
+    save_model,
     score_steps,
     split_panel,
 )
@@ -221,13 +224,13 @@ class TestPipeline:
 
         with open(tmp_path / "forecast_samples.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        for i, (sid, fc) in enumerate(zip(train_panel.series_ids, forecasts)):
+        for i, (sid, matrix) in enumerate(zip(train_panel.series_ids, forecasts)):
             block = rows[i * 40 : (i + 1) * 40]
             assert [(r[0], int(r[1]), int(r[2])) for r in block] == [
                 (sid, t, s) for t in range(1, 6) for s in range(8)
             ]
             samples = np.array([float(r[3]) for r in block]).reshape(5, 8).T
-            assert samples.tobytes() == fc.samples.tobytes()
+            assert samples.tobytes() == matrix.tobytes()
 
         pooled, stability = score_steps(test_panel.values, point, (1, 2, 3, 4, 5))
         expected = ["step,pooled_rmsle,stability_std"]
@@ -419,6 +422,33 @@ class TestErrors:
             assert capsys.readouterr().err == (
                 "error: conditioning values up to 1e+308 are too large for the series scale\n"
             )
+
+    @pytest.mark.parametrize("index, value", [(-2, 1e307), (-1, -1e307)])
+    def test_non_finite_draws_are_one_error_line(self, tmp_path, index, value):
+        """A model whose draws overflow in data units (a head weight of
+        1e307) or reach -inf there (a head bias of -1e307) makes forecast
+        exit 1 with one error line and nothing else on stderr, from the
+        process or its forked child.  The command runs in a process of its
+        own, so numpy's warnings print as they would for a user."""
+        ov = base_overrides(tmp_path)
+        assert run_cli("generate", ov) == 0
+        assert run_cli("train", ov) == 0
+        path = str(tmp_path / "model.bin")
+        model = load_model(path)
+        arrays = model.params.arrays()
+        arrays[index] = np.full_like(arrays[index], value)
+        save_model(dataclasses.replace(model, params=model.params.with_arrays(arrays)), path)
+        argv = ["forecast"] + [arg for key, v in ov.items() for arg in ("--set", f"{key}={v}")]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from cellcast.cli import main; sys.exit(main())", *argv],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: non-finite values in forecast samples\n"
 
     def test_overflowing_holt_winters_fails_alone(self, tmp_path, capsys):
         """Holt-Winters' smoothing state overflows on the same panel: the sweep

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from cellcast import (
-    Forecast,
     ForecastError,
     NetworkParams,
     TrainConfig,
@@ -120,7 +119,7 @@ def tiny_model(n_channels=0, hidden=4, layers=1, context=6, horizon=3, seed=0):
 class TestCellMath:
     def test_open_forget_gate_carries_cell(self):
         """With a +20 forget bias and zero elsewhere the cell value survives one step."""
-        h, c, _ = lstm_cell(np.array([0.0, 20.0, 0.0, 0.0]), np.array([1.0]))
+        h, c, _ = lstm_cell(np.array([0.0, 20.0, 0.0, 0.0]), np.array([1.0]), cell_workspace((), 1))
         np.testing.assert_allclose(c, [1.0], atol=1e-8)
         np.testing.assert_allclose(h, [0.5 * math.tanh(c[0])], rtol=1e-12)
         assert abs(h[0] - 0.380797) < 1e-6
@@ -130,10 +129,10 @@ class TestCellMath:
         rng = np.random.default_rng(71)
         a = rng.normal(0.0, 2.0, size=(6, 20))
         c_prev = rng.normal(size=(6, 5))
-        h, c, gates = lstm_cell(a.copy(), c_prev)
+        h, c, gates = lstm_cell(a.copy(), c_prev, cell_workspace((6,), 5))
         assert h.shape == c.shape == (6, 5) and len(gates) == 5
         for r in range(6):
-            h_r, c_r, gates_r = lstm_cell(a[r].copy(), c_prev[r])
+            h_r, c_r, gates_r = lstm_cell(a[r].copy(), c_prev[r], cell_workspace((), 5))
             np.testing.assert_allclose(h[r], h_r, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(c[r], c_r, rtol=1e-12, atol=1e-15)
             for g, g_r in zip(gates, gates_r):
@@ -212,11 +211,10 @@ class TestCellMath:
         assert stacked_weights(make_params(3, 40, 1, seed=2), rows).wx_t is None
 
     def test_workspace_gives_the_same_bytes_and_leaves_state(self):
-        """lstm_cell writing into a workspace gives the bytes of a call that
-        allocates, on every row shape the package uses, reusing the
-        workspace; c_prev is never written, and a workspace whose c is
-        c_prev itself, or that takes the gates one slab each, gives the same
-        bytes."""
+        """lstm_cell writing into a reused workspace gives the bytes of a
+        call into a fresh one, on every row shape the package uses; c_prev
+        is never written, and a workspace whose c is c_prev itself, or that
+        takes the gates one slab each, gives the same bytes."""
         rng = np.random.default_rng(44)
         for hidden in (6, 40):
             for shape in [(), (1,), (5, 1), (32,), (2, 13, 8), (2, 32)]:
@@ -226,7 +224,7 @@ class TestCellMath:
                     a = rng.normal(0.0, 2.0, (*shape, 4 * hidden))
                     c_prev = rng.normal(0.0, 0.5, (*shape, hidden))
                     before = c_prev.copy()
-                    h, c, gates = lstm_cell(a.copy(), c_prev)
+                    h, c, gates = lstm_cell(a.copy(), c_prev, cell_workspace(shape, hidden))
                     h_w, c_w, gates_w = lstm_cell(a.copy(), c_prev, work)
                     assert h_w is work.h and c_w is work.c
                     assert h_w.tobytes() == h.tobytes() and c_w.tobytes() == c.tobytes()
@@ -701,8 +699,8 @@ class TestDerivedTransposes:
         rng = np.random.default_rng(6)
         cond = rng.uniform(10.0, 100.0, 70)
         cov = rng.normal(0.0, 1.0, (2, 70 + 31))
-        a = sample_forecast(model, cond, cov, n_samples=20, seed=(4, 1))
-        b = sample_forecast(sent, cond, cov, n_samples=20, seed=(4, 1))
+        a = sample_forecast(model, cond[None], cov[None], n_samples=20, seeds=[(4, 1)])
+        b = sample_forecast(sent, cond[None], cov[None], n_samples=20, seeds=[(4, 1)])
         assert a.samples.tobytes() == b.samples.tobytes()
 
 
@@ -970,34 +968,40 @@ class TestForecasting:
     def conditioning(self, rng, m=20):
         return rng.uniform(10.0, 100.0, m)
 
+    @staticmethod
+    def sample_one(model, cond, cov=None, *, seed=0, **kwargs):
+        """One series through the group form: its sample matrix and its scale."""
+        fc = sample_forecast(model, cond[None], None if cov is None else cov[None], seeds=[seed], **kwargs)
+        return fc.samples[0], fc.scales[0]
+
     def test_same_seed_is_bit_identical(self):
         """One seed, one sample matrix."""
         rng = np.random.default_rng(3)
         model = tiny_model()
         cond = self.conditioning(rng)
-        a = sample_forecast(model, cond, n_samples=8, seed=42)
-        b = sample_forecast(model, cond, n_samples=8, seed=42)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert a.scale == b.scale == series_scale(cond[-6:])
+        a, scale_a = self.sample_one(model, cond, n_samples=8, seed=42)
+        b, scale_b = self.sample_one(model, cond, n_samples=8, seed=42)
+        np.testing.assert_array_equal(a, b)
+        assert scale_a == scale_b == series_scale(cond[-6:])
 
     def test_trajectories_have_independent_streams(self):
         """Trajectory s depends only on (seed, s): more samples extend, never change, earlier rows."""
         rng = np.random.default_rng(4)
         model = tiny_model()
         cond = self.conditioning(rng)
-        small = sample_forecast(model, cond, n_samples=5, seed=7)
-        big = sample_forecast(model, cond, n_samples=9, seed=7)
-        np.testing.assert_array_equal(big.samples[:5], small.samples)
+        small, _ = self.sample_one(model, cond, n_samples=5, seed=7)
+        big, _ = self.sample_one(model, cond, n_samples=9, seed=7)
+        np.testing.assert_array_equal(big[:5], small)
         # the default network size, where a BLAS kernel's rounding of a row
         # can depend on how many rows the product has
         k = 2
         model = tiny_model(n_channels=k, hidden=40, layers=2, context=62, horizon=31, seed=5)
         cond = self.conditioning(rng, m=70)
         cov = rng.normal(0.0, 1.0, (k, 70 + 31))
-        big = sample_forecast(model, cond, cov, n_samples=100, seed=(7, 3))
+        big, _ = self.sample_one(model, cond, cov, n_samples=100, seed=(7, 3))
         for n in (1, 2, 7, 8, 9, 17):
-            small = sample_forecast(model, cond, cov, n_samples=n, seed=(7, 3))
-            np.testing.assert_array_equal(big.samples[:n], small.samples)
+            small, _ = self.sample_one(model, cond, cov, n_samples=n, seed=(7, 3))
+            np.testing.assert_array_equal(big[:n], small)
 
     def test_stacked_blocks_keep_each_blocks_rounding(self):
         """Hundreds of blocks advance in one call, yet every block rounds as it
@@ -1009,39 +1013,45 @@ class TestForecasting:
         model = tiny_model(n_channels=k, hidden=40, layers=2, context=62, horizon=31, seed=5)
         cond = self.conditioning(rng, m=70)
         cov = rng.normal(0.0, 1.0, (k, 70 + 31))
-        big = sample_forecast(model, cond, cov, n_samples=640, seed=(7, 3))
-        small = sample_forecast(model, cond, cov, n_samples=8, seed=(7, 3))
-        np.testing.assert_array_equal(big.samples[:8], small.samples)
+        big, _ = self.sample_one(model, cond, cov, n_samples=640, seed=(7, 3))
+        small, _ = self.sample_one(model, cond, cov, n_samples=8, seed=(7, 3))
+        np.testing.assert_array_equal(big[:8], small)
 
     def test_int_seed_equals_singleton_tuple(self):
-        """An integer seed is shorthand for the one-element tuple."""
+        """An integer seed is shorthand for the one-element tuple, and one
+        group's seeds may mix the two forms and their lengths."""
         rng = np.random.default_rng(5)
         model = tiny_model()
         cond = self.conditioning(rng)
-        a = sample_forecast(model, cond, n_samples=4, seed=9)
-        b = sample_forecast(model, cond, n_samples=4, seed=(9,))
+        group = np.stack([cond, cond])
+        a = sample_forecast(model, group, n_samples=4, seeds=[9, (9, 1)])
+        b = sample_forecast(model, group, n_samples=4, seeds=[(9,), (9, 1)])
         np.testing.assert_array_equal(a.samples, b.samples)
-        assert a.seed == b.seed == (9,)
-        c = sample_forecast(model, cond, n_samples=4, seed=(9, 1))
-        assert not np.array_equal(a.samples, c.samples)
+        assert not np.array_equal(a.samples[0], a.samples[1])
 
     def test_samples_non_negative_and_shaped(self):
+        """A Forecast holds (series, n_samples, horizon) samples, all >= 0,
+        and (series,) scales; neither the object nor its samples can be
+        changed."""
         rng = np.random.default_rng(6)
         model = tiny_model(horizon=4)
-        cond = self.conditioning(rng)
-        f = sample_forecast(model, cond, n_samples=12, seed=1)
-        assert f.samples.shape == (12, 4)
+        cond = np.stack([self.conditioning(rng), self.conditioning(rng)])
+        f = sample_forecast(model, cond, n_samples=12, seeds=[1, 2])
+        assert f.samples.shape == (2, 12, 4) and f.scales.shape == (2,)
         assert np.all(f.samples >= 0.0)
-        assert (f.n_samples, f.horizon) == (12, 4)
+        with pytest.raises(ValueError):
+            f.samples[0, 0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            f.samples = f.samples.copy()
 
     def test_shorter_horizon_is_a_prefix_decision(self):
         """Asking for fewer steps replays the same draws over a shorter loop."""
         rng = np.random.default_rng(61)
         model = tiny_model(horizon=5)
         cond = self.conditioning(rng)
-        full = sample_forecast(model, cond, n_samples=6, seed=3)
-        short = sample_forecast(model, cond, horizon=2, n_samples=6, seed=3)
-        np.testing.assert_array_equal(short.samples, full.samples[:, :2])
+        full, _ = self.sample_one(model, cond, n_samples=6, seed=3)
+        short, _ = self.sample_one(model, cond, horizon=2, n_samples=6, seed=3)
+        np.testing.assert_array_equal(short, full[:, :2])
 
     @pytest.mark.parametrize("n_series, n_samples", [(5, 100), (33, 2)])
     def test_one_call_equals_per_series_calls(self, n_series, n_samples):
@@ -1054,12 +1064,12 @@ class TestForecasting:
         cond = rng.uniform(10.0, 100.0, (n_series, 20))
         cov = rng.normal(0.0, 1.0, (n_series, k, 25))
         seeds = [(7, i) for i in range(n_series)]
-        group = sample_forecast(model, cond, cov, n_samples=n_samples, seed=seeds)
+        group = sample_forecast(model, cond, cov, n_samples=n_samples, seeds=seeds)
         assert group.samples.shape == (n_series, n_samples, 5)
-        for i, fc in enumerate(group):
-            alone = sample_forecast(model, cond[i], cov[i], n_samples=n_samples, seed=seeds[i])
-            assert fc.samples.tobytes() == alone.samples.tobytes(), i
-            assert (fc.scale, fc.seed) == (alone.scale, seeds[i])
+        for i in range(n_series):
+            alone, scale = self.sample_one(model, cond[i], cov[i], n_samples=n_samples, seed=seeds[i])
+            assert group.samples[i].tobytes() == alone.tobytes(), i
+            assert group.scales[i] == scale
 
     def test_trajectory_noise_is_its_substream(self):
         """Trajectory s of a series seeded ids draws substream(*ids, s), for
@@ -1095,11 +1105,11 @@ class TestForecasting:
             finally:
                 in_encoder.pop()
 
-        def spy_advance(x, h, c, params, sigma_floor, work=None):
+        def spy_advance(x, h, c, params, sigma_floor, work):
             params_seen["decoder"].append(id(params))
             return real_advance(x, h, c, params, sigma_floor, work)
 
-        def spy_cell(a, c_prev, work=None):
+        def spy_cell(a, c_prev, work):
             cell_calls["encoder" if in_encoder else "decoder"] += 1
             return real_cell(a, c_prev, work)
 
@@ -1108,7 +1118,7 @@ class TestForecasting:
         monkeypatch.setattr(net, "lstm_cell", spy_cell)
         model = tiny_model(layers=2)
         rng = np.random.default_rng(8)
-        sample_forecast(model, self.conditioning(rng), n_samples=2, seed=1)
+        sample_forecast(model, self.conditioning(rng)[None], n_samples=2, seeds=[1])
         cfg = model.train_config
         assert params_seen["encoder"] == [id(model.params)]
         assert params_seen["decoder"] == [id(model.params)] * cfg.horizon
@@ -1130,7 +1140,7 @@ class TestForecasting:
         for m in (12, ctx):
             cond = rng.uniform(5.0, 50.0, m)
             cov = rng.normal(0.0, 1.0, (k, m + 4))
-            f = sample_forecast(model, cond, cov, n_samples=3, seed=6)
+            f, _ = self.sample_one(model, cond, cov, n_samples=3, seed=6)
 
             scale = series_scale(cond[m - ctx :])
             lag_data = [cond[m - ctx - 1] if m > ctx else 0.0] + list(cond[m - ctx : m - 1])
@@ -1141,67 +1151,82 @@ class TestForecasting:
                 mu, _, _ = forward_window(lags, x_rows, model.params, scale)
                 expected.append(mu[-1])
             expected = np.maximum(np.array(expected) * scale, 0.0)
-            for row in f.samples:
+            for row in f:
                 np.testing.assert_allclose(row, expected, atol=1e-3 * scale)
             if m == ctx:
                 # the step before the series counts as an observed zero
-                padded = sample_forecast(
+                padded, _ = self.sample_one(
                     model, np.r_[0.0, cond], np.c_[np.zeros(k), cov], n_samples=3, seed=6
                 )
-                assert padded.samples.tobytes() == f.samples.tobytes()
+                assert padded.tobytes() == f.tobytes()
 
     def test_point_forecast_statistics(self):
-        """median/mean reduce the sample matrix columnwise; unknown names are rejected."""
+        """median/mean reduce a sample matrix columnwise, and a group's
+        samples series by series; unknown names are rejected."""
         samples = np.array([[1.0, 4.0], [3.0, 0.0], [2.0, 8.0]])
-        f = Forecast(samples, 1.0, (0,))
-        np.testing.assert_array_equal(point_forecast(f, "median"), [2.0, 4.0])
-        np.testing.assert_array_equal(point_forecast(f, "mean"), [2.0, 4.0])
+        np.testing.assert_array_equal(point_forecast(samples, "median"), [2.0, 4.0])
+        np.testing.assert_array_equal(point_forecast(samples, "mean"), [2.0, 4.0])
+        group = np.stack([samples, 2.0 * samples])
+        np.testing.assert_array_equal(point_forecast(group, "median"), [[2.0, 4.0], [4.0, 8.0]])
+        np.testing.assert_array_equal(point_forecast(group, "mean"), [[2.0, 4.0], [4.0, 8.0]])
         with pytest.raises(ForecastError):
-            point_forecast(f, "max")
+            point_forecast(samples, "max")
 
     def test_forecast_validation(self):
-        with pytest.raises(ForecastError):
-            Forecast(np.array([[1.0, -0.5]]), 1.0, (0,))
-        with pytest.raises(ForecastError):
-            Forecast(np.array([[np.inf]]), 1.0, (0,))
+        """A draw that overflows float64 in data units (a head weight of
+        1e307) or reaches -inf there (a head bias of -1e307, which the clamp
+        at 0 would hide) is one ForecastError, with no numpy warning."""
+        rng = np.random.default_rng(15)
+        cond = np.stack([self.conditioning(rng), self.conditioning(rng)])
+        for index, value in [(-2, 1e307), (-1, -1e307)]:
+            model = tiny_model()
+            arrays = model.params.arrays()
+            arrays[index] = np.full_like(arrays[index], value)
+            model = TrainedModel(model.params.with_arrays(arrays), model.train_config, None, ())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ForecastError, match="non-finite values in forecast samples"):
+                    sample_forecast(model, cond, n_samples=4, seeds=[1, 2])
 
     def test_sample_forecast_validation(self, monkeypatch):
         rng = np.random.default_rng(12)
         model = tiny_model(n_channels=1)
-        cond = self.conditioning(rng, m=10)
-        cov = rng.normal(0.0, 1.0, (1, 13))
+        cond = self.conditioning(rng, m=10)[None]
+        cov = rng.normal(0.0, 1.0, (1, 1, 13))
         with pytest.raises(ForecastError):
-            sample_forecast(model, cond[:3], cov)  # too little conditioning
+            sample_forecast(model, cond[:, :3], cov, seeds=[0])  # too little conditioning
         with pytest.raises(ForecastError):
-            sample_forecast(model, cond)  # missing covariates
+            sample_forecast(model, cond, seeds=[0])  # missing covariates
         with pytest.raises(ForecastError):
-            sample_forecast(model, cond, rng.normal(size=(2, 13)))  # channel count
+            sample_forecast(model, cond, rng.normal(size=(1, 2, 13)), seeds=[0])  # channel count
         with pytest.raises(ForecastError):
-            sample_forecast(model, cond, cov[:, :8])  # too few covariate steps
+            sample_forecast(model, cond, cov[..., :8], seeds=[0])  # too few covariate steps
         with pytest.raises(ForecastError):
-            sample_forecast(model, cond, cov, horizon=0)
+            sample_forecast(model, cond, cov, horizon=0, seeds=[0])
         with pytest.raises(ForecastError):
-            sample_forecast(model, cond, cov, n_samples=0)
+            sample_forecast(model, cond, cov, n_samples=0, seeds=[0])
         with pytest.raises(ForecastError):
-            sample_forecast(model, -cond, cov)
+            sample_forecast(model, -cond, cov, seeds=[0])
         with pytest.raises(ForecastError, match="non-finite conditioning"):
-            sample_forecast(model, np.where(np.arange(10) == 8, np.nan, cond), cov)
+            sample_forecast(model, np.where(np.arange(10) == 8, np.nan, cond), cov, seeds=[0])
         plain = tiny_model()
         with pytest.raises(ForecastError):
-            sample_forecast(plain, cond, cov)  # covariates on a plain model
+            sample_forecast(plain, cond, cov, seeds=[0])  # covariates on a plain model
         with pytest.raises(ForecastError):
-            sample_forecast(plain, cond, seed=())
+            sample_forecast(plain, cond, seeds=[()])
         with pytest.raises(ForecastError):
-            sample_forecast(plain, cond, seed="abc")
-        group = np.stack([cond, cond])
+            sample_forecast(plain, cond, seeds=["abc"])
+        group = np.concatenate([cond, cond])
         with pytest.raises(ForecastError, match="one seed per series"):
-            sample_forecast(plain, group, seed=5)
+            sample_forecast(plain, group, seeds=5)
         with pytest.raises(ForecastError, match="one seed per series"):
-            sample_forecast(plain, group, seed=[(1,)])
+            sample_forecast(plain, group, seeds=[(1,)])
         with pytest.raises(ForecastError, match="covariates"):
-            sample_forecast(model, group, np.stack([cov, cov])[:, :, :8], seed=[1, 2])
-        with pytest.raises(ForecastError, match="conditioning"):
-            sample_forecast(plain, group[None], seed=[1])
+            sample_forecast(model, group, np.concatenate([cov, cov])[:, :, :8], seeds=[1, 2])
+        # one series alone (M,) and a stack of groups are not a group
+        for bad in (cond[0], group[None]):
+            with pytest.raises(ForecastError, match="conditioning"):
+                sample_forecast(plain, bad, seeds=[1])
         # A negative or bool seed id and a sample count that is not an int
         # >= 1 are ForecastErrors naming the argument, raised before the
         # encoder runs.
@@ -1213,12 +1238,12 @@ class TestForecasting:
         monkeypatch.setattr(fc, "forward_window", no_encoder)
         for seed in (-1, (3, -2), True, (1, False)):
             with pytest.raises(ForecastError, match="seed"):
-                sample_forecast(plain, cond, seed=seed)
+                sample_forecast(plain, cond, seeds=[seed])
         with pytest.raises(ForecastError, match="seed"):
-            sample_forecast(plain, np.stack([cond, cond]), seed=[1, -1])
+            sample_forecast(plain, group, seeds=[1, -1])
         for n_samples in (2.0, True, "2"):
             with pytest.raises(ForecastError, match="n_samples"):
-                sample_forecast(plain, cond, n_samples=n_samples)
+                sample_forecast(plain, cond, n_samples=n_samples, seeds=[0])
 
     def test_horizon_must_be_an_integer(self, monkeypatch):
         """A horizon that is not an int >= 1 is one ForecastError naming it,
@@ -1227,9 +1252,9 @@ class TestForecasting:
 
         plain = tiny_model()
         cond = self.conditioning(np.random.default_rng(14))
-        expected = sample_forecast(plain, cond, horizon=3, n_samples=2)
-        given = sample_forecast(plain, cond, horizon=np.int64(3), n_samples=2)
-        assert given.samples.tobytes() == expected.samples.tobytes()
+        expected, _ = self.sample_one(plain, cond, horizon=3, n_samples=2)
+        given, _ = self.sample_one(plain, cond, horizon=np.int64(3), n_samples=2)
+        assert given.tobytes() == expected.tobytes()
 
         def no_encoder(*args, **kwargs):
             raise AssertionError("the encoder ran before the arguments were checked")
@@ -1237,7 +1262,7 @@ class TestForecasting:
         monkeypatch.setattr(fc, "forward_window", no_encoder)
         for horizon in (2.5, "3", True, 0):
             with pytest.raises(ForecastError, match="horizon must be an integer"):
-                sample_forecast(plain, cond, horizon=horizon)
+                self.sample_one(plain, cond, horizon=horizon)
 
     def test_overflowing_series_scale_is_a_forecast_error(self):
         """Conditioning whose mean overflows float64 is one ForecastError
@@ -1247,9 +1272,9 @@ class TestForecasting:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ForecastError, match="too large for the series scale"):
-                sample_forecast(plain, cond)
+                self.sample_one(plain, cond)
             with pytest.raises(ForecastError, match="too large for the series scale"):
-                sample_forecast(plain, np.stack([cond / 1e300, cond]), seed=[1, 2])
+                sample_forecast(plain, np.stack([cond / 1e300, cond]), seeds=[1, 2])
 
     def test_wider_covariates_are_cropped(self):
         """Trailing covariate columns past conditioning + horizon are ignored."""
@@ -1257,9 +1282,9 @@ class TestForecasting:
         model = tiny_model(n_channels=1)
         cond = self.conditioning(rng, m=10)
         cov = rng.normal(0.0, 1.0, (1, 20))
-        a = sample_forecast(model, cond, cov[:, :13], n_samples=4, seed=2)
-        b = sample_forecast(model, cond, cov, n_samples=4, seed=2)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a, _ = self.sample_one(model, cond, cov[:, :13], n_samples=4, seed=2)
+        b, _ = self.sample_one(model, cond, cov, n_samples=4, seed=2)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestModelStore:
@@ -1298,8 +1323,8 @@ class TestModelStore:
         model, path, panel = self.trained(tmp_path, with_lma=False)
         loaded = load_model(path)
         cond = panel.values[0]
-        a = sample_forecast(model, cond, n_samples=5, seed=(3, 0))
-        b = sample_forecast(loaded, cond, n_samples=5, seed=(3, 0))
+        a = sample_forecast(model, cond[None], n_samples=5, seeds=[(3, 0)])
+        b = sample_forecast(loaded, cond[None], n_samples=5, seeds=[(3, 0)])
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_resave_is_byte_identical(self, tmp_path):

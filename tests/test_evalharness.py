@@ -354,19 +354,24 @@ class TestTrainedModelForecaster:
         with pytest.raises(EvalError, match="horizon"):
             fc.forecast_panel(train_panel, 6, (0,))
 
-    def test_channel_mismatch_is_reported(self):
-        """A model whose channels cannot be rebuilt from its configs is rejected."""
-        from cellcast import TrainedModel
-        from cellcast.deepar import init_params
-        from cellcast import substream
+    def test_channel_mismatch_is_reported(self, monkeypatch):
+        """A model whose channels cannot be rebuilt from its configs (no LMA
+        config, and a network that takes another channel count than the
+        calendar channel gives) is one ForecastError from sample_forecast,
+        raised before the encoder runs."""
 
-        model, train_panel = self.make_model(with_lma=False)
-        # hand-build a model that expects one channel but carries no channel config
-        params = init_params(2, 6, 1, substream(0))
-        bad = TrainedModel(params, model.train_config, None, ())
-        fc = TrainedModelForecaster(bad, n_samples=4)
-        with pytest.raises(EvalError, match="channels"):
-            fc.forecast_panel(train_panel, 5, (0,))
+        def no_encoder(*args, **kwargs):
+            raise AssertionError("the encoder ran before the channels were checked")
+
+        train_panel, _ = split_panel(weekly_panel(), SplitSpec(36, 40))
+        monkeypatch.setattr(forecasting, "forward_window", no_encoder)
+        for input_size, day_of_week in [(3, False), (3, True), (1, True), (2, False)]:
+            cfg = TrainConfig(
+                context_length=7, horizon=5, epochs=0, hidden_size=6, num_layers=1, day_of_week=day_of_week
+            )
+            bad = TrainedModel(init_params(input_size, 6, 1, substream(0)), cfg, None, ())
+            with pytest.raises(forecasting.ForecastError, match="covariate"):
+                TrainedModelForecaster(bad, n_samples=4).forecast_panel(train_panel, 5, (0,))
 
     def wide_model(self):
         """An untrained network of the default width and depth, so each row's
@@ -382,18 +387,23 @@ class TestTrainedModelForecaster:
     @pytest.mark.parametrize("n_samples", [1, 2, 8, 9, 100])
     def test_grouped_forecasts_equal_per_series_sampling(self, n_samples):
         """Sampling the series in groups gives each series the bytes it gets
-        sampled alone from stream (*seed, i)."""
+        sampled alone from stream (*seed, i), as a read-only matrix."""
         model, train_panel = self.wide_model()
         assert group_size(n_samples) < train_panel.n_series
         forecasts = list(TrainedModelForecaster(model, n_samples).forecasts(train_panel, 5, (3,)))
         cov = assemble_covariates(train_panel, model.lma_config, 5)
         assert len(forecasts) == train_panel.n_series
-        for i, fc in enumerate(forecasts):
+        for i, samples in enumerate(forecasts):
             alone = sample_forecast(
-                model, train_panel.values[i], cov.channels[i], horizon=5, n_samples=n_samples, seed=(3, i)
+                model,
+                train_panel.values[i : i + 1],
+                cov.channels[i : i + 1],
+                horizon=5,
+                n_samples=n_samples,
+                seeds=[(3, i)],
             )
-            assert fc.samples.tobytes() == alone.samples.tobytes(), i
-            assert (fc.scale, fc.seed) == (alone.scale, (3, i))
+            assert samples.shape == (n_samples, 5) and not samples.flags.writeable
+            assert samples.tobytes() == alone.samples[0].tobytes(), i
 
     def test_series_prefix_reproduces_its_rows(self):
         """Forecasting the first two series alone reproduces the panel's first two rows."""
@@ -414,7 +424,7 @@ class TestTrainedModelForecaster:
         for n_samples in (100, 640):
             big = TrainedModelForecaster(model, n_samples).forecasts(train_panel, 5, (3,))
             for i, (a, b) in enumerate(zip(small, big, strict=True)):
-                assert b.samples[:8].tobytes() == a.samples.tobytes(), (n_samples, i)
+                assert b[:8].tobytes() == a.tobytes(), (n_samples, i)
 
     def count_calls(self, monkeypatch):
         """Count this process's sample_forecast and encoder calls."""
@@ -492,7 +502,8 @@ class TestForkedForecasts:
     def forecasts(self, monkeypatch, fork, model, panel, n_samples):
         monkeypatch.setattr(_fork, "can_fork", lambda: fork)
         fc = TrainedModelForecaster(model, n_samples).forecasts(panel, 5, (3,))
-        return [(f.samples.tobytes(), f.scale, f.seed) for f in fc]
+        # the child's rows come back read-only, like this process's
+        return [(samples.tobytes(), samples.flags.writeable) for samples in fc]
 
     def panels(self):
         model, wide = self.wide_model()
@@ -527,10 +538,10 @@ class TestForkedForecasts:
         model, (_, odd) = self.panels()
         real = evalharness.sample_forecast
 
-        def failing(*args, seed, **kwargs):
-            if any(s[-1] >= first_bad for s in seed):
+        def failing(*args, seeds, **kwargs):
+            if any(s[-1] >= first_bad for s in seeds):
                 raise forecasting.ForecastError(f"series {first_bad} and on cannot be sampled")
-            return real(*args, seed=seed, **kwargs)
+            return real(*args, seeds=seeds, **kwargs)
 
         monkeypatch.setattr(evalharness, "sample_forecast", failing)
         panel, split = weekly_panel(n_series=odd.n_series), SplitSpec(36, 40)

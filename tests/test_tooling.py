@@ -1,7 +1,7 @@
-"""Checks on what lives next to the package: the benchmark's hooks, the
-README's examples, the modules that own the CSV format and the use of a
-second CPU, the network's trust in its callers, and the byte-identity
-script.
+"""Checks on what lives next to the package: the benchmark's hooks and its
+trajectory count, the README's examples, the modules that own the CSV
+format and the use of a second CPU, the network's trust in its callers,
+and the byte-identity script.
 
 perfbench traces cellcast by wrapping module attributes by name, so a
 renamed or bypassed function silently drops its metrics; the smoke run
@@ -45,6 +45,29 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert "lma_deepar" in capsys.readouterr().out
+
+
+def test_benchmark_counts_every_trajectory_step(monkeypatch):
+    """perfbench's sample_forecast hook reads the trajectory count off the
+    result's samples.  On one call's Forecast, samples (series, n_samples,
+    horizon), that is every step of every series' trajectories."""
+    import numpy as np
+
+    from cellcast import TrainConfig, TrainedModel, init_params, sample_forecast, substream
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import tracing
+
+    assert tracing.__file__ == os.path.join(ROOT, "perfbench", "tracing.py")
+    cfg = TrainConfig(context_length=6, horizon=4, epochs=0, hidden_size=4, num_layers=1)
+    model = TrainedModel(init_params(1, 4, 1, substream(0)), cfg, None, ())
+    n_series, n_samples, horizon = 3, 9, 4
+    cond = np.random.default_rng(0).uniform(10.0, 100.0, (n_series, 8))
+    args = (model, cond)
+    kwargs = {"n_samples": n_samples, "seeds": [0, 1, 2]}
+    result = sample_forecast(*args, **kwargs)
+    attrs = tracing._sample_attrs(args, kwargs, result)
+    assert attrs["traj_steps"] == n_series * n_samples * horizon
 
 
 def test_only_panel_imports_csv():
