@@ -6,12 +6,14 @@ The recipe is generate -> covariates -> train -> forecast -> evaluate ->
 sweep --plots on the default config, cut down to train.epochs=1,
 train.windows_per_series=4 and sweep.n_samples=4, plus four more trainings
 (--no-lma, train.day_of_week=true, and one and three layers through
-train.num_layers) that write their own model files.  It prints one
-``sha256  name`` line per file written, 25 in all (each model file has
-its provenance sidecar), sorted by name.  Two checkouts that print the
-same lines wrote the same bytes, so a refactor that must keep every
-artifact can be checked by running this script from each checkout with
-one OUT path and comparing the output.
+train.num_layers) that write their own model files, and a forecast from
+each of the one- and three-layer models into its own samples and point
+files, so the sampler is checked at every depth.  It prints one
+``sha256  name`` line per file written, 33 in all (each model file and
+forecast table has its provenance sidecar), sorted by name.  Two
+checkouts that print the same lines wrote the same bytes, so a refactor
+that must keep every artifact can be checked by running this script from
+each checkout with one OUT path and comparing the output.
 
 OPENBLAS_NUM_THREADS is pinned to 1 before NumPy is imported: a BLAS
 product may round differently on another thread count, and the bytes are
@@ -40,6 +42,15 @@ RECIPE = (
     ("train", "--set", "train.day_of_week=true", "--set", "paths.model=model_dow.bin"),
     ("train", "--set", "train.num_layers=1", "--set", "paths.model=model_1layer.bin"),
     ("train", "--set", "train.num_layers=3", "--set", "paths.model=model_3layer.bin"),
+    *(
+        (
+            "forecast",
+            "--set", f"paths.model=model_{depth}.bin",
+            "--set", f"paths.forecast_samples=forecast_samples_{depth}.csv",
+            "--set", f"paths.forecast_point=forecast_point_{depth}.csv",
+        )
+        for depth in ("1layer", "3layer")
+    ),
 )
 
 SETTINGS = ("train.epochs=1", "train.windows_per_series=4", "sweep.n_samples=4")

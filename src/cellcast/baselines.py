@@ -68,13 +68,12 @@ class HoltWintersConfig:
 
 def _smoothing_pass(
     values: np.ndarray, cfg: HoltWintersConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initialize from the first two seasons, then run the recursions.
 
-    Returns, per row, the final level and trend, the seasonal state (indexed
-    by phase t mod season) and the one-step-ahead fitted values for the
-    smoothed range (positions season..n-1).  The recursion runs once over
-    time for every row at once.
+    Returns, per row, the final level and trend and the seasonal state
+    (indexed by phase t mod season).  The recursion runs once over time for
+    every row at once.
     """
     m = cfg.season
     n = values.shape[-1]
@@ -84,15 +83,13 @@ def _smoothing_pass(
     # time-major copies: each step reads and writes one contiguous row
     by_time = np.moveaxis(values, -1, 0).copy()
     seasonal = np.moveaxis(first - level[..., None], -1, 0).copy()
-    fitted = np.empty((n - m, *values.shape[:-1]))
     for t in range(m, n):
         phase = t % m
-        fitted[t - m] = level + trend + seasonal[phase]
         prev_level = level
         level = cfg.alpha * (by_time[t] - seasonal[phase]) + (1.0 - cfg.alpha) * (level + trend)
         trend = cfg.beta * (level - prev_level) + (1.0 - cfg.beta) * trend
         seasonal[phase] = cfg.gamma * (by_time[t] - level) + (1.0 - cfg.gamma) * seasonal[phase]
-    return level, trend, np.moveaxis(seasonal, 0, -1), np.moveaxis(fitted, 0, -1)
+    return level, trend, np.moveaxis(seasonal, 0, -1)
 
 
 def holt_winters(train: np.ndarray, cfg: HoltWintersConfig, horizon: int) -> np.ndarray:
@@ -103,7 +100,7 @@ def holt_winters(train: np.ndarray, cfg: HoltWintersConfig, horizon: int) -> np.
     # Values near the float64 limit overflow the smoothing state; the check
     # below reports that once, in place of numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        level, trend, seasonal, _ = _smoothing_pass(values, cfg)
+        level, trend, seasonal = _smoothing_pass(values, cfg)
     if not all(np.isfinite(a).all() for a in (level, trend, seasonal)):
         raise BaselineError(
             f"train values up to {values.max():g} are too large for the smoothing state"

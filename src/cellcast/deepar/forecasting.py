@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .._rng import substreams
-from .network import advance, cell_workspace, cut_windows, forward_window
+from .network import advance, cell_workspace, cut_windows, forward_window, stacked_weights
 from .training import TrainedModel
 
 __all__ = [
@@ -186,9 +186,9 @@ def sample_forecast(
     # group in the same call, but each block stays its own (8, D) slice of
     # the stacked matrix product, so each row sees the gemm it would see
     # alone.  Flattening the blocks into one (rows, D) matrix would change
-    # how the products round.  One state, input and cell workspace serve
-    # every group (the last one uses their leading rows), so a step
-    # allocates no array of the group's size.
+    # how the products round.  One state, input, cell workspace and weight
+    # layout serve every group (the last one uses their leading rows), so a
+    # step allocates no array of the group's size.
     params = model.params
     per_group = min(group_size(n_samples), n_series)
     rows = (per_group, n_blocks, BLOCK_ROWS)
@@ -196,6 +196,7 @@ def sample_forecast(
     c_all = np.empty_like(h_all)
     x_all = np.empty((*rows, 1 + n_channels))
     work_all = cell_workspace(rows, params.hidden_size)
+    weights = stacked_weights(params, rows)
     for lo in range(0, n_series, per_group):
         hi = min(lo + per_group, n_series)
         h, c, x = h_all[:, : hi - lo], c_all[:, : hi - lo], x_all[: hi - lo]
@@ -206,7 +207,7 @@ def sample_forecast(
         for t in range(horizon):
             if n_channels:
                 x[..., 1:] = covariates[lo:hi, None, None, :, m + t]
-            mu, sigma = advance(x, h, c, params, cfg.sigma_floor, work)
+            mu, sigma = advance(x, h, c, params, cfg.sigma_floor, work, weights)
             samples[lo:hi, ..., t] = x[..., 0] = mu + sigma * samples[lo:hi, ..., t]
     samples = samples.reshape(n_series, -1, horizon)[:, :n_samples]
     # a draw that overflows in data units is this call's error, not a warning

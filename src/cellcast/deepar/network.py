@@ -12,8 +12,9 @@ encoder) knows every step's input in advance, so it runs by wavefront
 k - j, which needs only the wavefront before, so every layer moves in one
 ``wavefront`` call, stacked on a leading layer axis.  The sampler feeds
 each step's draw back as the next input and advances layer by layer
-(``advance``).  ``cut_windows`` turns panel windows into the pass's inputs
-(seed lag, channels, scale) for training and the forecast encoder alike.
+(``advance``).  Both multiply by the weights ``stacked_weights`` lays
+out.  ``cut_windows`` turns panel windows into the pass's inputs (seed
+lag, channels, scale) for training and the forecast encoder alike.
 Everything here is deterministic; sampling lives in forecasting.
 
 Nothing here checks its inputs: ``train``, ``sample_forecast``,
@@ -178,39 +179,34 @@ def advance(
     params: NetworkParams,
     sigma_floor: float,
     work: CellWork,
+    weights: StackedWeights,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One step of the stacked recurrence and the head for rows x (..., input_size).
 
     h and c are (layers, ..., hidden) and are updated in place.  Every layer
-    runs through ``work`` (``cell_workspace(x.shape[:-1], hidden)``).
-    Returns the location and spread of each row, both shaped like x without
-    its last axis.
-
-    Products with more than one row (the sampler's 8-row blocks) multiply
-    by the layer's C-contiguous copies ``wx_t``/``wh_t``, which is faster;
-    one-row products by the transposed views, as ``stacked_weights`` does.
+    runs through ``work`` (``cell_workspace(x.shape[:-1], hidden)``) and
+    ``weights`` (``stacked_weights(params, x.shape[:-1])``).  Returns each
+    row's location and spread, both shaped like x without its last axis.
     """
-    one_row = x.ndim < 2 or x.shape[-2] == 1
-    for idx, layer in enumerate(params.layers):
-        wx_t, wh_t = (layer.wx.T, layer.wh.T) if one_row else (layer.wx_t, layer.wh_t)
-        np.matmul(x, wx_t, out=work.a)
-        np.matmul(h[idx], wh_t, out=work.p)
+    for j in range(params.num_layers):
+        np.matmul(x, weights.w0 if j == 0 else weights.wx_t[j - 1], out=work.a)
+        np.matmul(h[j], weights.wh_t[j], out=work.p)
         np.add(work.a, work.p, out=work.a)
-        np.add(work.a, layer.b, out=work.a)
-        # in place: the products have read h[idx], and the cell reads each
-        # element of c[idx] before it overwrites it
-        lstm_cell(work.a, c[idx], work._replace(h=h[idx], c=c[idx]))
-        x = h[idx]
+        np.add(work.a, weights.b[j], out=work.a)
+        # in place: the products have read h[j], and the cell reads each
+        # element of c[j] before it overwrites it
+        lstm_cell(work.a, c[j], work._replace(h=h[j], c=c[j]))
+        x = h[j]
     return _head(x, params, sigma_floor)
 
 
 class StackedWeights(NamedTuple):
-    """A network's weights as ``wavefront`` multiplies them: layer 0's
-    transposed input weights (in, 4H); the transposed input weights of
-    layers 1 and up (layers - 1, ..., hidden, 4H), None for one layer; the
-    transposed recurrent weights (layers, ..., hidden, 4H); and the biases
-    (layers, ..., 4H).  The middle axes are the rows' leading axes but
-    the last, so each layer's matrix broadcasts over them."""
+    """A network's weights as ``wavefront`` and ``advance`` multiply them:
+    layer 0's transposed input weights (in, 4H); the transposed input
+    weights of layers 1 and up (layers - 1, ..., hidden, 4H), None for one
+    layer; the transposed recurrent weights (layers, ..., hidden, 4H); and
+    the biases (layers, ..., 4H).  The middle axes are the rows' leading
+    axes but the last, so each layer's matrix broadcasts over them."""
 
     w0: np.ndarray
     wx_t: np.ndarray | None
@@ -219,24 +215,27 @@ class StackedWeights(NamedTuple):
 
 
 def stacked_weights(params: NetworkParams, rows: tuple[int, ...]) -> StackedWeights:
-    """The weights of a teacher-forced pass whose products each take rows[-1] rows.
+    """The weights of a pass whose products each take rows[-1] rows.
 
-    Products with more than one row (training's (B, D) batches) multiply by
-    C-contiguous copies of the transposes, which OpenBLAS runs faster.  One-
-    row products (the encoder's per-series slices) multiply by transposed
-    views: BLAS takes another path for them and would round differently
-    with the copies, moving every forecast.  Stacking keeps each layer's
-    matrix, strides included, so each product is the one it would be alone.
+    Products with more than one row (training's (B, D) batches, the
+    sampler's 8-row blocks) multiply by C-contiguous copies of the
+    transposes, which OpenBLAS runs faster.  One-row products (the
+    encoder's per-series slices) multiply by transposed views: BLAS takes
+    another path for them and would round differently with the copies,
+    moving every forecast.  Stacking keeps each layer's matrix, strides
+    included, so each product is the one it would be alone.
     """
     first, upper = params.layers[0], params.layers[1:]
     expand = (slice(None),) + (None,) * (len(rows) - 1)
 
+    def layout(transposed: np.ndarray) -> np.ndarray:
+        return transposed if rows[-1] == 1 else np.ascontiguousarray(transposed)
+
     def stack(weights: list[np.ndarray]) -> np.ndarray:
-        transposed = np.stack(weights).transpose(0, 2, 1)
-        return (transposed if rows[-1] == 1 else np.ascontiguousarray(transposed))[expand]
+        return layout(np.stack(weights).transpose(0, 2, 1))[expand]
 
     return StackedWeights(
-        first.wx.T if rows[-1] == 1 else first.wx_t,
+        layout(first.wx.T),
         stack([layer.wx for layer in upper]) if upper else None,
         stack([layer.wh for layer in params.layers]),
         np.stack([layer.b for layer in params.layers])[(*expand, None)],

@@ -6,13 +6,13 @@ bias parameters of all four gates stacked row-wise in the fixed order
 and ``b`` is (4H,).  The likelihood head is one affine map ``head_w`` (2, H),
 ``head_b`` (2,): row 0 produces the location, row 1 the pre-activation that
 softplus turns into the scale.  Encoder and decoder always run on the same
-instance; there is no separate copy to keep in sync.
+instance; there is no separate copy to keep in sync, and no derived layout:
+``network.stacked_weights`` builds that per pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,15 +24,7 @@ FORGET_GATE_BIAS = 1.0
 
 @dataclass(frozen=True)
 class LayerParams:
-    """One recurrent layer's gate parameters.
-
-    ``wx_t`` and ``wh_t`` are C-contiguous copies of ``wx.T`` and ``wh.T``:
-    ``lstm_cell`` multiplies multi-row inputs by them, since a product
-    against a transposed view is slower.  They are derived, so they are not
-    fields: they stay out of the parameter arrays, equality, ``repr`` and the
-    model file.  Each is built on first use and kept, so a gradient, which
-    shares this type but never runs the cell, does not build them.
-    """
+    """One recurrent layer's gate parameters."""
 
     wx: np.ndarray
     wh: np.ndarray
@@ -53,14 +45,6 @@ class LayerParams:
         object.__setattr__(self, "wx", wx)
         object.__setattr__(self, "wh", wh)
         object.__setattr__(self, "b", b)
-
-    @cached_property
-    def wx_t(self) -> np.ndarray:
-        return np.ascontiguousarray(self.wx.T)
-
-    @cached_property
-    def wh_t(self) -> np.ndarray:
-        return np.ascontiguousarray(self.wh.T)
 
     @property
     def hidden_size(self) -> int:
@@ -147,12 +131,9 @@ class NetworkParams:
         return self.with_arrays(arrays)
 
     def freeze(self) -> "NetworkParams":
-        """Make every array read-only, the derived transposes included."""
+        """Make every array read-only."""
         for a in self.arrays():
             a.setflags(write=False)
-        for layer in self.layers:
-            layer.wx_t.setflags(write=False)
-            layer.wh_t.setflags(write=False)
         return self
 
 

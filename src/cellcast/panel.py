@@ -17,6 +17,7 @@ import datetime as dt
 from collections import Counter
 import io
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -169,17 +170,26 @@ def write_long(path: str, header: Sequence[str], series_ids: Sequence[str], keys
 
     ``rows`` yields one array per series with one value per key (raveled in C
     order), and is consumed one series at a time.  Values print as
-    ``repr(float(v))``, so they read back bit for bit.
+    ``repr(float(v))``, so they read back bit for bit.  The lines go to
+    ``path + ".tmp"``, which replaces path after the last row; any failure,
+    of ``rows`` too, removes it and leaves path as it was.
     """
     key_fields = [_csv_fields(key) for key in keys]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_fields(header) + "\n")
-        for sid, row in zip(series_ids, rows, strict=True):
-            prefix = _csv_fields((sid,))
-            values = np.asarray(row, dtype=np.float64).ravel().tolist()
-            fh.write("".join([
-                f"{prefix},{key},{v!r}\n" for key, v in zip(key_fields, values, strict=True)
-            ]))
+    tmp = path + ".tmp"
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(_csv_fields(header) + "\n")
+            for sid, row in zip(series_ids, rows, strict=True):
+                prefix = _csv_fields((sid,))
+                values = np.asarray(row, dtype=np.float64).ravel().tolist()
+                fh.write("".join([
+                    f"{prefix},{key},{v!r}\n" for key, v in zip(key_fields, values, strict=True)
+                ]))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def write_step_table(path: str, header: Sequence[str], steps: Sequence[int], columns) -> None:

@@ -61,11 +61,10 @@ class TestHoltWinters:
         the trend each step."""
         cfg = HoltWintersConfig(season=3, alpha=0.0, beta=0.0, gamma=0.0)
         values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        level, trend, seasonal, fitted = _smoothing_pass(values, cfg)
+        level, trend, seasonal = _smoothing_pass(values, cfg)
         assert trend == (5.0 - 2.0) / 3.0
         np.testing.assert_array_equal(seasonal, [-1.0, 0.0, 1.0])
-        # fitted[t] = level_t + trend + seasonal, with level advancing 2 -> 3 -> 4
-        np.testing.assert_allclose(fitted, [2.0, 4.0, 6.0], rtol=1e-12)
+        # the level advances 2 -> 3 -> 4 -> 5, once per smoothed step
         assert level == 2.0 + 3 * trend
 
     def test_zero_coefficient_forecast_unrolls_init(self):
@@ -91,14 +90,16 @@ class TestHoltWinters:
 
     def test_one_step_fitted_errors_vanish_on_identified_series(self):
         """A trendless purely seasonal series makes the initial state exact, so
-        one-step fitted residuals are zero and the state never drifts."""
+        the one-step forecast from every prefix is the next value and the
+        state never drifts."""
         m = 4
         seasonal = np.array([2.0, -3.0, 1.0, 0.0])
         t = np.arange(40)
         series = (50.0 + seasonal[t % m]).astype(np.float64)
         cfg = HoltWintersConfig(season=m, alpha=0.4, beta=0.2, gamma=0.3)
-        level, trend, state, fitted = _smoothing_pass(series, cfg)
-        np.testing.assert_allclose(series[m:] - fitted, 0.0, atol=1e-9)
+        level, trend, state = _smoothing_pass(series, cfg)
+        for n in range(2 * m, 40):
+            np.testing.assert_allclose(holt_winters(series[:n], cfg, 1), series[n : n + 1], atol=1e-9)
         assert (level, trend) == (50.0, 0.0)
         np.testing.assert_allclose(state, seasonal, atol=1e-12)
         out = holt_winters(series, cfg, 8)

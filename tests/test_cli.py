@@ -429,10 +429,14 @@ class TestErrors:
         1e307) or reach -inf there (a head bias of -1e307) makes forecast
         exit 1 with one error line and nothing else on stderr, from the
         process or its forked child.  The command runs in a process of its
-        own, so numpy's warnings print as they would for a user."""
+        own, so numpy's warnings print as they would for a user.  The failed
+        run leaves the previous forecast's tables and sidecars as they were,
+        and no other file behind."""
         ov = base_overrides(tmp_path)
         assert run_cli("generate", ov) == 0
         assert run_cli("train", ov) == 0
+        assert run_cli("forecast", ov) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         path = str(tmp_path / "model.bin")
         model = load_model(path)
         arrays = model.params.arrays()
@@ -449,6 +453,11 @@ class TestErrors:
         )
         assert proc.returncode == 1
         assert proc.stderr == "error: non-finite values in forecast samples\n"
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert set(after) == set(before)
+        for name in ("forecast_samples.csv", "forecast_point.csv"):
+            for artifact in (name, f"{name}.provenance.json"):
+                assert after[artifact] == before[artifact], artifact
 
     def test_overflowing_holt_winters_fails_alone(self, tmp_path, capsys):
         """Holt-Winters' smoothing state overflows on the same panel: the sweep

@@ -147,56 +147,60 @@ class TestCellMath:
         tc = np.tanh(c)
         return s[..., 3 * hs :] * tc, c, (s[..., :hs], s[..., hs : 2 * hs], gg, s[..., 3 * hs :], tc)
 
-    def assert_cell_bytes(self, layer, x, wx_t, wh_t):
-        """One sampler step of a one-layer network gives the cell math of
-        x @ wx_t + h @ wh_t + b, gates included."""
+    def assert_cell_bytes(self, params, x, layout):
+        """One sampler step over rows x, with the weights stacked_weights
+        lays out for them, gives every layer the cell math of
+        x @ layout(wx.T) + h @ layout(wh.T) + b, the top layer's gates
+        included."""
         rng = np.random.default_rng(x.size)
-        hs = layer.hidden_size
-        params = NetworkParams((layer,), np.zeros((2, hs)), np.zeros(2))
-        h_prev = rng.normal(0.0, 0.5, (*x.shape[:-1], hs))
+        hs = params.hidden_size
+        h_prev = rng.normal(0.0, 0.5, (params.num_layers, *x.shape[:-1], hs))
         c_prev = rng.normal(0.0, 0.5, h_prev.shape)
-        h, c = h_prev[None].copy(), c_prev[None].copy()
+        h, c = h_prev.copy(), c_prev.copy()
         work = cell_workspace(x.shape[:-1], hs)
-        advance(x, h, c, params, 1e-6, work)
-        a = x @ wx_t + h_prev @ wh_t + layer.b
-        h_ref, c_ref, gates_ref = self.cell_from(a, c_prev, hs)
-        assert h[0].tobytes() == h_ref.tobytes() and c[0].tobytes() == c_ref.tobytes()
-        s = work.a  # the cell's sigmoid, in place
+        advance(x, h, c, params, 1e-6, work, stacked_weights(params, x.shape[:-1]))
+        for j, layer in enumerate(params.layers):
+            a = x @ layout(layer.wx.T) + h_prev[j] @ layout(layer.wh.T) + layer.b
+            h_ref, c_ref, gates_ref = self.cell_from(a, c_prev[j], hs)
+            assert h[j].tobytes() == h_ref.tobytes() and c[j].tobytes() == c_ref.tobytes()
+            x = h_ref
+        s = work.a  # the top layer's sigmoid, in place
         gates = (s[..., :hs], s[..., hs : 2 * hs], work.gg, s[..., 3 * hs :], work.tc)
         for g, g_ref in zip(gates, gates_ref):
             assert g.tobytes() == g_ref.tobytes()
 
     @pytest.mark.parametrize("in_size", [3, 4, 40])
     def test_one_row_products_use_the_transposed_views(self, in_size):
-        """A one-row product, a 1-D x or the encoder's stacked (S, 1, D)
-        slices, multiplies by wx.T and wh.T.  The C-contiguous copies round
-        such products differently on some BLAS kernels, which would move
-        every forecast; this pins the rule."""
+        """A one-row product, the encoder's stacked (S, 1, D) slices,
+        multiplies by wx.T and wh.T on every layer.  The C-contiguous copies
+        round such products differently on some BLAS kernels, which would
+        move every forecast; this pins the rule."""
         rng = np.random.default_rng(in_size)
-        for hidden in (6, 40):
-            layer = make_params(in_size, hidden, 1, seed=hidden).layers[0]
-            for shape in [(in_size,), (1, in_size), (5, 1, in_size), (2, 13, 1, in_size)]:
-                x = rng.normal(0.0, 1.0, shape)
-                self.assert_cell_bytes(layer, x, layer.wx.T, layer.wh.T)
+        for n_layers in (1, 2, 3):
+            for hidden in (6, 40):
+                params = make_params(in_size, hidden, n_layers, seed=hidden)
+                for shape in [(1, in_size), (5, 1, in_size), (2, 13, 1, in_size)]:
+                    self.assert_cell_bytes(params, rng.normal(0.0, 1.0, shape), lambda w: w)
 
     @pytest.mark.parametrize("in_size", [3, 4, 40])
     def test_multi_row_products_use_the_copies(self, in_size):
         """Training's (B, D) batches and the sampler's (S, blocks, 8, D)
-        blocks multiply by the C-contiguous copies wx_t and wh_t."""
+        blocks multiply by C-contiguous copies of wx.T and wh.T on every
+        layer."""
         rng = np.random.default_rng(in_size)
-        for hidden in (6, 40):
-            layer = make_params(in_size, hidden, 1, seed=hidden).layers[0]
-            for shape in [(2, in_size), (3, in_size), (7, in_size), (32, in_size), (2, 13, 8, in_size)]:
-                x = rng.normal(0.0, 1.0, shape)
-                self.assert_cell_bytes(layer, x, layer.wx_t, layer.wh_t)
+        for n_layers in (1, 2, 3):
+            for hidden in (6, 40):
+                params = make_params(in_size, hidden, n_layers, seed=hidden)
+                for shape in [(2, in_size), (3, in_size), (7, in_size), (32, in_size), (2, 13, 8, in_size)]:
+                    self.assert_cell_bytes(params, rng.normal(0.0, 1.0, shape), np.ascontiguousarray)
 
-    @pytest.mark.parametrize("rows", [(32,), (2,), (1,), (5, 1)])
+    @pytest.mark.parametrize("rows", [(32,), (2,), (1,), (5, 1), (2, 13, 8)])
     def test_stacked_weights_keep_each_layers_matrix(self, rows):
-        """A wavefront's stacked products take each layer's matrix with the
-        strides a product of one layer takes: C-contiguous copies for
-        multi-row products, the transposed views for one-row ones.  A stack
-        of transposed views built the wrong way is column-major per layer,
-        which rounds like the views at width 40 and 2-7 rows."""
+        """Each product takes each layer's matrix with the strides a product
+        of one layer takes: C-contiguous copies for multi-row products, the
+        transposed views for one-row ones.  A stack of transposed views
+        built the wrong way is column-major per layer, which rounds like
+        the views at width 40 and 2-7 rows."""
         params = make_params(3, 40, 3, seed=2)
         weights = stacked_weights(params, rows)
         one_row = rows[-1] == 1
@@ -504,6 +508,14 @@ class TestGradients:
         with pytest.raises(ValueError):
             params.from_vector(vec[:-1])
 
+    def test_freeze_makes_every_array_read_only(self):
+        params = make_params(3, 5, 2, seed=2)
+        assert params.freeze() is params
+        for a in params.arrays():
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+
 
 def reference_pass(z, x, scales, params, floor=1e-6):
     """The per-layer teacher-forced pass training ran before the wavefront:
@@ -518,11 +530,12 @@ def reference_pass(z, x, scales, params, floor=1e-6):
     h_all = np.zeros((length + 1, n_layers, n_batch, hs))
     c_all = np.zeros_like(h_all)
     gi_all, gf_all, gg_all, go_all, tc_all = (np.empty((length, n_layers, n_batch, hs)) for _ in range(5))
+    # the layout rule: C-contiguous copies of the transposes, the views for one row
+    layout = np.ascontiguousarray if n_batch > 1 else (lambda w: w)
     for t in range(length):
         x_t = inputs[:, t, :]
         for idx, layer in enumerate(params.layers):
-            wx_t, wh_t = (layer.wx_t, layer.wh_t) if n_batch > 1 else (layer.wx.T, layer.wh.T)
-            a = x_t @ wx_t + h_all[t, idx] @ wh_t + layer.b
+            a = x_t @ layout(layer.wx.T) + h_all[t, idx] @ layout(layer.wh.T) + layer.b
             gg = np.tanh(a[:, 2 * hs : 3 * hs])
             s = masked_sigmoid(a)
             gi, gf, go = s[:, :hs], s[:, hs : 2 * hs], s[:, 3 * hs :]
@@ -620,10 +633,11 @@ class TestWavefront:
         h_ref = np.zeros((n_layers, n_series, 1, 40))
         c_ref = np.zeros_like(h_ref)
         work = cell_workspace((n_series, 1), 40)
+        weights = stacked_weights(params, (n_series, 1))
         mu_ref, sigma_ref = np.empty_like(z), np.empty_like(z)
         for t in range(length):
             mu_ref[:, t : t + 1], sigma_ref[:, t : t + 1] = advance(
-                inputs[:, t : t + 1, :], h_ref, c_ref, params, 1e-6, work
+                inputs[:, t : t + 1, :], h_ref, c_ref, params, 1e-6, work, weights
             )
         assert mu.tobytes() == mu_ref.tobytes() and sigma.tobytes() == sigma_ref.tobytes()
         assert h.tobytes() == np.ascontiguousarray(h_ref[..., 0, :]).tobytes()
@@ -631,77 +645,6 @@ class TestWavefront:
         # one window alone: the same bytes as its row of the stack
         mu_1, _, (h_1, _) = forward_window(z[2], x[2], params, scales[2], 1e-6)
         assert mu_1.tobytes() == mu[2].tobytes() and h_1.tobytes() == np.ascontiguousarray(h[:, 2]).tobytes()
-
-
-class TestDerivedTransposes:
-    """LayerParams keeps C-contiguous copies of wx.T and wh.T for the cell's
-    multi-row products; they are derived, never stored or compared."""
-
-    def test_copies_equal_the_transposes(self):
-        for layer in make_params(3, 5, 2, seed=2).layers:
-            for copy, weights in ((layer.wx_t, layer.wx), (layer.wh_t, layer.wh)):
-                assert copy.shape == weights.T.shape
-                assert copy.flags.c_contiguous
-                assert copy.tobytes() == weights.T.tobytes()
-
-    def test_freeze_makes_the_copies_read_only(self):
-        params = make_params(3, 5, 2, seed=2)
-        assert params.layers[0].wx_t.flags.writeable
-        params.freeze()
-        for layer in params.layers:
-            for copy in (layer.wx_t, layer.wh_t):
-                assert not copy.flags.writeable
-                with pytest.raises(ValueError):
-                    copy[0, 0] = 1.0
-
-    def test_rebuilt_params_rebuild_the_copies(self):
-        params = make_params(3, 5, 2, seed=2)
-        vec = np.random.default_rng(8).normal(0.0, 0.1, params.n_parameters())
-        from_vec = params.from_vector(vec)
-        from_arrays = params.with_arrays([a + 1.0 for a in params.arrays()])
-        for rebuilt in (from_vec, from_arrays):
-            for layer in rebuilt.layers:
-                assert layer.wx_t.tobytes() == layer.wx.T.tobytes()
-                assert layer.wh_t.tobytes() == layer.wh.T.tobytes()
-        assert from_vec.layers[0].wx[0, 0] == vec[0]
-
-    def test_copies_stay_out_of_arrays_vector_repr_and_file(self, tmp_path):
-        model = tiny_model(n_channels=2, hidden=5, layers=2)
-        params = model.params.freeze()
-        arrays = params.arrays()
-        assert len(arrays) == 3 * params.num_layers + 2
-        assert not any(a is copy for a in arrays for layer in params.layers for copy in (layer.wx_t, layer.wh_t))
-        assert params.n_parameters() == sum(
-            layer.wx.size + layer.wh.size + layer.b.size for layer in params.layers
-        ) + params.head_w.size + params.head_b.size
-        assert params.to_vector().shape == (params.n_parameters(),)
-        assert "wx_t" not in repr(params.layers[0]) and "wh_t" not in repr(params.layers[0])
-        path = tmp_path / "model.bin"
-        save_model(model, str(path))
-        blob = path.read_bytes()
-        (header_len,) = struct.unpack("<Q", blob[24:32])
-        header = json.loads(blob[32 : 32 + header_len])
-        assert [e["name"] for e in header["arrays"]] == [
-            "layer0.wx", "layer0.wh", "layer0.b", "layer1.wx", "layer1.wh", "layer1.b", "head_w", "head_b"
-        ]
-        assert len(blob) == 32 + header_len + 8 * params.n_parameters()
-
-    def test_model_sent_through_a_fork_forecasts_the_same_bytes(self):
-        from cellcast._fork import fork_call
-
-        model = tiny_model(n_channels=2, hidden=40, layers=2, context=62, horizon=31, seed=5)
-        model.params.freeze()
-        with fork_call(lambda m: m, model) as call:
-            sent = call.result()
-        for layer, back in zip(model.params.layers, sent.params.layers):
-            assert back.wx_t.tobytes() == layer.wx_t.tobytes()
-            assert back.wh_t.flags.c_contiguous and not back.wh_t.flags.writeable
-        rng = np.random.default_rng(6)
-        cond = rng.uniform(10.0, 100.0, 70)
-        cov = rng.normal(0.0, 1.0, (2, 70 + 31))
-        a = sample_forecast(model, cond[None], cov[None], n_samples=20, seeds=[(4, 1)])
-        b = sample_forecast(sent, cond[None], cov[None], n_samples=20, seeds=[(4, 1)])
-        assert a.samples.tobytes() == b.samples.tobytes()
 
 
 def sinusoid_panel(n_series=8, n_steps=60, seed=17, noise=0.02):
@@ -1088,12 +1031,14 @@ class TestForecasting:
     def test_encoder_and_decoder_share_parameters(self, monkeypatch):
         """The conditioning pass and the sampling loop run the same parameter
         object through the one gate math: one cell call per wavefront in
-        the encoder, one per layer and step in the sampler."""
+        the encoder, one per layer and step in the sampler, every step
+        multiplying by the same stacked weights."""
         import cellcast.deepar.forecasting as fc
         import cellcast.deepar.network as net
 
         params_seen = {"encoder": [], "decoder": []}
         cell_calls = {"encoder": 0, "decoder": 0}
+        weights_seen = []
         in_encoder = []
         real_fw, real_advance, real_cell = fc.forward_window, fc.advance, net.lstm_cell
 
@@ -1105,9 +1050,10 @@ class TestForecasting:
             finally:
                 in_encoder.pop()
 
-        def spy_advance(x, h, c, params, sigma_floor, work):
+        def spy_advance(x, h, c, params, sigma_floor, work, weights):
             params_seen["decoder"].append(id(params))
-            return real_advance(x, h, c, params, sigma_floor, work)
+            weights_seen.append(id(weights))
+            return real_advance(x, h, c, params, sigma_floor, work, weights)
 
         def spy_cell(a, c_prev, work):
             cell_calls["encoder" if in_encoder else "decoder"] += 1
@@ -1122,6 +1068,8 @@ class TestForecasting:
         cfg = model.train_config
         assert params_seen["encoder"] == [id(model.params)]
         assert params_seen["decoder"] == [id(model.params)] * cfg.horizon
+        # one weight layout per call, built before the first step
+        assert weights_seen == weights_seen[:1] * cfg.horizon
         assert cell_calls == {"encoder": cfg.context_length + 1, "decoder": 2 * cfg.horizon}
 
     def test_near_deterministic_head_tracks_greedy_replay(self):
@@ -1287,6 +1235,23 @@ class TestForecasting:
         np.testing.assert_array_equal(a, b)
 
 
+    def test_model_sent_through_a_fork_forecasts_the_same_bytes(self):
+        """A frozen model pickled to a forked child and back forecasts the
+        bytes the original does."""
+        from cellcast._fork import fork_call
+
+        model = tiny_model(n_channels=2, hidden=40, layers=2, context=62, horizon=31, seed=5)
+        model.params.freeze()
+        with fork_call(lambda m: m, model) as call:
+            sent = call.result()
+        rng = np.random.default_rng(6)
+        cond = rng.uniform(10.0, 100.0, 70)
+        cov = rng.normal(0.0, 1.0, (2, 70 + 31))
+        a = sample_forecast(model, cond[None], cov[None], n_samples=20, seeds=[(4, 1)])
+        b = sample_forecast(sent, cond[None], cov[None], n_samples=20, seeds=[(4, 1)])
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+
 class TestModelStore:
     def trained(self, tmp_path, with_lma=False):
         from cellcast import LmaConfig, assemble_covariates
@@ -1326,6 +1291,25 @@ class TestModelStore:
         a = sample_forecast(model, cond[None], n_samples=5, seeds=[(3, 0)])
         b = sample_forecast(loaded, cond[None], n_samples=5, seeds=[(3, 0)])
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_file_holds_each_parameter_array_once(self, tmp_path):
+        """The model file names every parameter array once, in canonical
+        order, and holds exactly their values after its header."""
+        model = tiny_model(n_channels=2, hidden=5, layers=2)
+        params = model.params
+        assert len(params.arrays()) == 3 * params.num_layers + 2
+        assert params.n_parameters() == sum(
+            layer.wx.size + layer.wh.size + layer.b.size for layer in params.layers
+        ) + params.head_w.size + params.head_b.size
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[24:32])
+        header = json.loads(blob[32 : 32 + header_len])
+        assert [e["name"] for e in header["arrays"]] == [
+            "layer0.wx", "layer0.wh", "layer0.b", "layer1.wx", "layer1.wh", "layer1.b", "head_w", "head_b"
+        ]
+        assert len(blob) == 32 + header_len + 8 * params.n_parameters()
 
     def test_resave_is_byte_identical(self, tmp_path):
         """Saving a loaded model writes the same bytes again."""

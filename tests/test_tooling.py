@@ -1,7 +1,7 @@
 """Checks on what lives next to the package: the benchmark's hooks and its
 trajectory count, the README's examples, the modules that own the CSV
 format and the use of a second CPU, the network's trust in its callers,
-and the byte-identity script.
+the one owner of the weights' layout, and the byte-identity script.
 
 perfbench traces cellcast by wrapping module attributes by name, so a
 renamed or bypassed function silently drops its metrics; the smoke run
@@ -158,9 +158,35 @@ def test_network_trusts_its_callers():
     assert sorted(raisers) == ["gaussian_nll", "series_scale"]
 
 
+def test_only_stacked_weights_lays_out_the_weights():
+    """How a product sees a layer's weights (a C-contiguous copy of the
+    transpose, or the transposed view) is decided in one place,
+    network.stacked_weights: no other code under src/cellcast takes .T of
+    an attribute named wx or wh."""
+    package = os.path.join(ROOT, "src", "cellcast")
+    owners = []
+    for folder, _, files in os.walk(package):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and node.attr == "T"
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr in ("wx", "wh")
+                    ):
+                        owners.append((os.path.relpath(path, package), getattr(top, "name", None)))
+    assert owners == [(os.path.join("deepar", "network.py"), "stacked_weights")]
+
+
 def test_artifact_digests_script_names_every_artifact(tmp_path):
     """scripts/artifact_digests.py runs the whole pipeline and prints one
-    sha256 line per artifact and sidecar, 25 in all, sorted by name."""
+    sha256 line per artifact and sidecar, 33 in all, sorted by name."""
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "artifact_digests.py"), str(out)],
@@ -173,7 +199,11 @@ def test_artifact_digests_script_names_every_artifact(tmp_path):
     artifacts = [
         "covariates.csv",
         "forecast_point.csv",
+        "forecast_point_1layer.csv",
+        "forecast_point_3layer.csv",
         "forecast_samples.csv",
+        "forecast_samples_1layer.csv",
+        "forecast_samples_3layer.csv",
         "metrics.csv",
         "model.bin",
         "model_1layer.bin",
@@ -188,7 +218,7 @@ def test_artifact_digests_script_names_every_artifact(tmp_path):
         + [f"{name}.provenance.json" for name in artifacts]
         + [f"report_{name}" for name in reports]
     )
-    assert len(expected) == 25
+    assert len(expected) == 33
     assert [line.split("  ")[1] for line in lines] == expected
     for line in lines:
         digest, name = line.split("  ")
