@@ -4,13 +4,14 @@ Usage: python3 scripts/artifact_digests.py OUT
 
 The recipe is generate -> covariates -> train -> forecast -> evaluate ->
 sweep --plots on the default config, cut down to train.epochs=1,
-train.windows_per_series=4 and sweep.n_samples=4, plus four more trainings
-(--no-lma, train.day_of_week=true, and one and three layers through
-train.num_layers) that write their own model files, and a forecast from
-each of the one- and three-layer models into its own samples and point
-files, so the sampler is checked at every depth.  It prints one
-``sha256  name`` line per file written, 33 in all (each model file and
-forecast table has its provenance sidecar), sorted by name.  Two
+train.windows_per_series=4 and sweep.n_samples=4, plus five more trainings
+(--no-lma, train.day_of_week=true, both together, and one and three layers
+through train.num_layers) that write their own model files, and a forecast
+from each of the one- and three-layer and the weekday-only models into its
+own samples and point files, so the sampler is checked at every depth and
+on the calendar channel alone.  It prints one ``sha256  name`` line per
+file written, 39 in all (each model file and forecast table has its
+provenance sidecar), sorted by name.  Two
 checkouts that print the same lines wrote the same bytes, so a refactor
 that must keep every artifact can be checked by running this script from
 each checkout with one OUT path and comparing the output.
@@ -40,16 +41,21 @@ RECIPE = (
     ("sweep", "--plots"),
     ("train", "--no-lma", "--set", "paths.model=model_nolma.bin"),
     ("train", "--set", "train.day_of_week=true", "--set", "paths.model=model_dow.bin"),
+    (
+        "train", "--no-lma",
+        "--set", "train.day_of_week=true",
+        "--set", "paths.model=model_dowonly.bin",
+    ),
     ("train", "--set", "train.num_layers=1", "--set", "paths.model=model_1layer.bin"),
     ("train", "--set", "train.num_layers=3", "--set", "paths.model=model_3layer.bin"),
     *(
         (
             "forecast",
-            "--set", f"paths.model=model_{depth}.bin",
-            "--set", f"paths.forecast_samples=forecast_samples_{depth}.csv",
-            "--set", f"paths.forecast_point=forecast_point_{depth}.csv",
+            "--set", f"paths.model=model_{variant}.bin",
+            "--set", f"paths.forecast_samples=forecast_samples_{variant}.csv",
+            "--set", f"paths.forecast_point=forecast_point_{variant}.csv",
         )
-        for depth in ("1layer", "3layer")
+        for variant in ("1layer", "3layer", "dowonly")
     ),
 )
 

@@ -5,8 +5,8 @@ annotations, so each field's type is a string such as ``"int"`` or
 ``"tuple[float, float]"``.  Those strings are the one type ledger: they
 decide how a field is written to JSON (tuples as lists, dates as ISO
 strings), how it is read back, and which values ``check_field_types``
-accepts.  ``bool`` is not an ``int`` here, and neither is ``2.5``.  A date
-is read by ``parse_date`` alone, as exactly ``YYYY-MM-DD``.
+and ``is_count`` accept.  ``bool`` is not an ``int`` here, and neither is
+``2.5``.  A date is read by ``parse_date`` alone, as exactly ``YYYY-MM-DD``.
 
 ``hashed_json`` gives every provenance file, which embeds these JSON forms,
 its content hash and its bytes.
@@ -21,7 +21,7 @@ import numbers
 import re
 from dataclasses import fields
 
-__all__ = ["check_field_types", "check_list", "from_json", "hashed_json", "parse_date", "to_json"]
+__all__ = ["check_field_types", "check_list", "from_json", "hashed_json", "is_count", "parse_date", "to_json"]
 
 # annotation -> (accepts a value, singular description, plural description)
 _SCALARS = {
@@ -65,6 +65,11 @@ def check_list(value, kind: str, name: str) -> tuple:
     if not isinstance(value, list) or not all(accepts(v) for v in value):
         raise ValueError(f"{name} must be a list of {plural}, got {value!r}")
     return tuple(value)
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1, by the ledger's rule for ``int``."""
+    return _SCALARS["int"][0](value) and bool(value >= 1)
 
 
 def _items(annotation: str) -> list[str] | None:

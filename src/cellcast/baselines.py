@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_field_types
+from ._fields import check_field_types, is_count
 
 __all__ = ["BaselineError", "HoltWintersConfig", "holt_winters", "seasonal_naive"]
 
@@ -39,10 +39,9 @@ def _check_train(train: np.ndarray, min_len: int, what: str) -> np.ndarray:
 
 def seasonal_naive(train: np.ndarray, season: int, horizon: int) -> np.ndarray:
     """Repeat the last full season: forecast h = value one season cycle back."""
-    if season < 1:
-        raise BaselineError(f"season must be >= 1, got {season}")
-    if horizon < 1:
-        raise BaselineError(f"horizon must be >= 1, got {horizon}")
+    for name, count in (("season", season), ("horizon", horizon)):
+        if not is_count(count):
+            raise BaselineError(f"{name} must be an integer >= 1, got {count!r}")
     values = _check_train(train, season, "seasonal_naive")
     n = values.shape[-1]
     steps = np.arange(horizon)
@@ -94,8 +93,8 @@ def _smoothing_pass(
 
 def holt_winters(train: np.ndarray, cfg: HoltWintersConfig, horizon: int) -> np.ndarray:
     """Additive Holt-Winters forecast for the steps after the training range."""
-    if horizon < 1:
-        raise BaselineError(f"horizon must be >= 1, got {horizon}")
+    if not is_count(horizon):
+        raise BaselineError(f"horizon must be an integer >= 1, got {horizon!r}")
     values = _check_train(train, 2 * cfg.season, "holt_winters")
     # Values near the float64 limit overflow the smoothing state; the check
     # below reports that once, in place of numpy's warnings.

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .._fields import is_count
 from .._rng import substreams
 from .network import advance, cell_workspace, cut_windows, forward_window, stacked_weights
 from .training import TrainedModel
@@ -50,13 +51,6 @@ BLOCK_ROWS = 8
 # 57-60) and on 50 series x 100 samples (384-410 ms against 408-782 and
 # 414-505), two rounds each.
 GROUP_BLOCKS = 32
-
-# A panel is forecast in rounds of this many groups' worth of series, and
-# with a second CPU a forked child samples the second half of each round.
-# The round bounds what the child sends back at once: at 100 samples x 31
-# steps its half is 64 series, 1.6 MB, where a whole 5,000-series panel's
-# half would be 62 MB.
-ROUND_GROUPS = 64
 
 
 class ForecastError(ValueError):
@@ -136,7 +130,7 @@ def sample_forecast(
     if horizon is None:
         horizon = cfg.horizon
     for name, count in (("n_samples", n_samples), ("horizon", horizon)):
-        if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+        if not is_count(count):
             raise ForecastError(f"{name} must be an integer >= 1, got {count!r}")
     n_series, m = conditioning.shape
     context = cfg.context_length

@@ -143,11 +143,12 @@ class TrainedModel:
 def _covariate_key(cov: CovariatePanel | None) -> tuple | None:
     if cov is None:
         return None
-    return cov.series_ids, cov.kinds, cov.horizon, cov.channels.shape, cov.channels.tobytes()
+    channels = np.asarray(cov.channels, dtype=np.float64)
+    return cov.series_ids, cov.kinds, cov.horizon, channels.shape, channels.tobytes()
 
 
 def _describe(cov: CovariatePanel | None) -> str:
-    return "none" if cov is None else f"[{', '.join(cov.kinds)}] of shape {cov.channels.shape}"
+    return "none" if cov is None else f"[{', '.join(cov.kinds)}] of shape {np.shape(cov.channels)}"
 
 
 def _clip_gradient(g: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -174,7 +175,8 @@ def train(
     ``assemble_covariates(panel, lma_config, cfg.horizon,
     day_of_week=cfg.day_of_week)``, which is what a forecast from the model
     rebuilds; anything else is a TrainError, as is a panel whose values
-    overflow a window's series scale.  lma_config is carried into
+    overflow a window's series scale.  The run trains on its own build, so
+    the caller's record is only compared with it.  lma_config is carried into
     the result so a reloaded model can rebuild its channels.  One set of
     forward caches (``batch_buffers``) serves every batch of the run and is
     freed when train returns.
@@ -192,7 +194,7 @@ def train(
             f" (given {_describe(covariates)}, built {_describe(expected)}): pass"
             f" assemble_covariates(panel, lma_config, cfg.horizon, day_of_week=cfg.day_of_week)"
         )
-    n_channels = 0 if covariates is None else covariates.n_channels
+    n_channels = 0 if expected is None else expected.n_channels
     rng_init = substream(cfg.seed, _INIT_STREAM)
     params = init_params(1 + n_channels, cfg.hidden_size, cfg.num_layers, rng_init)
     if cfg.epochs == 0:
@@ -202,7 +204,7 @@ def train(
 
     wps = cfg.windows_per_series
     n_windows = panel.n_series * wps
-    channels = covariates.channels if covariates is not None else None
+    channels = expected.channels if expected is not None else None
 
     total_steps = cfg.epochs * -(-n_windows // cfg.batch_size)
     buffers = batch_buffers(min(cfg.batch_size, n_windows), window_len, params)

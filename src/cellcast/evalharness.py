@@ -20,11 +20,11 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from ._fields import hashed_json, to_json
+from ._fields import hashed_json, is_count, to_json
 from ._fork import in_halves
 from .baselines import HoltWintersConfig, holt_winters, seasonal_naive
 from .deepar import MODEL_FORMAT_VERSION, TrainedModel, point_forecast, sample_forecast
-from .deepar.forecasting import ROUND_GROUPS, group_size
+from .deepar.forecasting import group_size
 from .lma import assemble_covariates
 from .panel import SeriesPanel, SplitSpec, split_panel, write_step_table
 
@@ -48,6 +48,13 @@ __all__ = [
 
 DEFAULT_STEPS = tuple(range(15, 32))
 
+# A panel is forecast in rounds of this many groups' worth of series, and
+# with a second CPU a forked child samples the second half of each round.
+# The round bounds what the child sends back at once: at 100 samples x 31
+# steps its half is 64 series, 1.6 MB, where a whole 5,000-series panel's
+# half would be 62 MB.
+ROUND_GROUPS = 64
+
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -62,12 +69,22 @@ def _check_pair(actual: np.ndarray, predicted: np.ndarray) -> tuple[np.ndarray, 
         raise EvalError(f"expected 2-D (series, steps) matrices, got {a.ndim}-D")
     if a.shape != p.shape:
         raise EvalError(f"shape mismatch: actual {a.shape} vs predicted {p.shape}")
+    if a.size == 0:
+        raise EvalError(f"matrices of shape {a.shape} hold no series or no days")
     for name, m in (("actual", a), ("predicted", p)):
         if not np.all(np.isfinite(m)):
             raise EvalError(f"non-finite values in {name}")
         if np.any(m < 0):
             raise EvalError(f"negative values in {name}")
     return a, p
+
+
+def _check_steps(steps: tuple[int, ...]) -> tuple[int, ...]:
+    """``steps`` as a tuple of ints when they are nonempty, strictly increasing integers >= 1."""
+    steps = tuple(steps)
+    if not steps or not all(map(is_count, steps)) or any(b <= a for a, b in zip(steps, steps[1:])):
+        raise EvalError(f"steps must be nonempty, strictly increasing integers >= 1, got {steps}")
+    return tuple(int(s) for s in steps)
 
 
 def _squared_log_errors(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
@@ -103,19 +120,29 @@ def score_steps(
     """Score each step s on the first s days, predictions clamped at 0 first.
 
     Returns the pooled RMSLE curve and the stability curve (the std of the
-    per-series RMSLE), each (n_steps,).
+    per-series RMSLE), each (n_steps,).  Every argument is checked once, up
+    front: steps nonempty, strictly increasing integers >= 1, and two 2-D
+    (series, days) matrices whose first steps[-1] days exist, are finite and
+    non-negative once clamped, and have one shape with at least one series.
     """
-    width = max(steps, default=0)
-    actual = np.asarray(actual, dtype=np.float64)[:, :width]
-    predicted = np.maximum(np.asarray(predicted, dtype=np.float64), 0.0)[:, :width]
-    squared = _squared_log_errors(actual, predicted)
+    steps = _check_steps(steps)
+    width = steps[-1]
+    actual = np.asarray(actual, dtype=np.float64)
+    predicted = np.asarray(predicted, dtype=np.float64)
+    if actual.ndim != 2 or predicted.ndim != 2:
+        raise EvalError("expected 2-D (series, steps) matrices")
+    days = min(actual.shape[1], predicted.shape[1])
+    if width > days:
+        raise EvalError(f"step {width} exceeds the {days} days the matrices hold")
+    squared = _squared_log_errors(actual[:, :width], np.maximum(predicted[:, :width], 0.0))
     pooled = np.empty(len(steps))
     stability = np.empty(len(steps))
     for k, s in enumerate(steps):
-        # the same reductions as rmsle_per_series and rmsle_pooled on [:, :s]
+        # the same reductions as rmsle_per_series, rmsle_pooled and
+        # stability_std on [:, :s]
         row_means = np.mean(squared[:, :s], axis=1)
         pooled[k] = np.sqrt(np.mean(row_means))
-        stability[k] = stability_std(np.sqrt(row_means))
+        stability[k] = np.std(np.sqrt(row_means))
     return pooled, stability
 
 
@@ -229,8 +256,10 @@ class HoltWintersForecaster:
 @dataclass(frozen=True)
 class EvalReport:
     """Sweep result, exactly what the report files hold: per-model pooled and
-    stability curves over the steps (read-only, one row per model that ran),
-    the models that failed, and the provenance payload."""
+    stability curves over the steps (float64, read-only, one row per model
+    that ran), the models that failed, and the provenance payload.  Only
+    ``sweep`` builds it, each field in its final form, so it checks nothing.
+    """
 
     steps: tuple[int, ...]
     models: tuple[str, ...]
@@ -238,26 +267,6 @@ class EvalReport:
     stability: np.ndarray
     failures: dict[str, str]
     provenance: dict
-
-    def __post_init__(self) -> None:
-        steps = tuple(int(s) for s in self.steps)
-        models = tuple(str(m) for m in self.models)
-        pooled = np.asarray(self.pooled, dtype=np.float64)
-        stability = np.asarray(self.stability, dtype=np.float64)
-        if pooled.shape != (len(models), len(steps)) or stability.shape != pooled.shape:
-            raise EvalError("pooled and stability must be (n_models, n_steps)")
-        for name, m in (("pooled", pooled), ("stability", stability)):
-            if not np.all(np.isfinite(m)):
-                raise EvalError(f"non-finite values in {name}")
-            if np.any(m < 0):
-                raise EvalError(f"negative values in {name}")
-            m.setflags(write=False)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "models", models)
-        object.__setattr__(self, "pooled", pooled)
-        object.__setattr__(self, "stability", stability)
-        object.__setattr__(self, "failures", dict(self.failures))
-        object.__setattr__(self, "provenance", dict(self.provenance))
 
     @property
     def pooled_mean(self) -> np.ndarray:
@@ -280,11 +289,7 @@ def sweep(
     keeps pairwise comparisons low-variance.  A model that raises is dropped
     from the matrices and listed in failures instead.
     """
-    steps = tuple(int(s) for s in steps)
-    if not steps:
-        raise EvalError("steps must be nonempty")
-    if steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
-        raise EvalError(f"steps must be strictly increasing and >= 1, got {steps}")
+    steps = _check_steps(steps)
     if not models:
         raise EvalError("no models to evaluate")
     max_step = steps[-1]
@@ -311,7 +316,7 @@ def sweep(
                     f"expected forecasts of shape ({n_series}, {max_step}), got {pred.shape}"
                 )
             pooled, stab = score_steps(actual, pred, steps)
-            ok_names.append(name)
+            ok_names.append(str(name))
             pooled_rows.append(pooled)
             stability_rows.append(stab)
         except Exception as exc:  # noqa: BLE001 - per-model isolation is the contract
@@ -324,14 +329,10 @@ def sweep(
         "models": {name: models[name].describe() for name in models},
         "failures": dict(failures),
     }
-    return EvalReport(
-        steps=steps,
-        models=tuple(ok_names),
-        pooled=np.array(pooled_rows).reshape(len(ok_names), len(steps)),
-        stability=np.array(stability_rows).reshape(len(ok_names), len(steps)),
-        failures=failures,
-        provenance=provenance,
-    )
+    curves = np.array([pooled_rows, stability_rows], dtype=np.float64)
+    curves = curves.reshape(2, len(ok_names), len(steps))
+    curves.setflags(write=False)
+    return EvalReport(steps, tuple(ok_names), curves[0], curves[1], failures, provenance)
 
 
 def write_report_csvs(report: EvalReport, pooled_path: str, stability_path: str) -> None:

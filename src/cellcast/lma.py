@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._fields import check_field_types
+from ._fields import check_field_types, is_count
 from .panel import SeriesPanel, write_long
 
 __all__ = [
@@ -172,30 +172,16 @@ def _channels(values: np.ndarray, cfg: LmaConfig) -> np.ndarray:
 class CovariatePanel:
     """Per-series covariate channels of length n + horizon.
 
-    ``channels[i, k, t]`` is channel k of series i at step t+1.
+    ``channels[i, k, t]`` is channel k of series i at step t+1: read-only,
+    finite, shape (series, kinds, n + horizon).  Only ``assemble_covariates``
+    builds this record: it checks its inputs, and the record checks nothing
+    again.
     """
 
     series_ids: tuple[str, ...]
     kinds: tuple[str, ...]
     horizon: int
     channels: np.ndarray
-
-    def __post_init__(self) -> None:
-        ch = np.asarray(self.channels, dtype=np.float64)
-        if ch.ndim != 3:
-            raise LmaError(f"channels must be (series, channel, step), got shape {ch.shape}")
-        n_series, k, length = ch.shape
-        if n_series != len(self.series_ids):
-            raise LmaError(f"{len(self.series_ids)} series ids but {n_series} channel rows")
-        if k != len(self.kinds):
-            raise LmaError(f"{len(self.kinds)} kind labels but {k} channels")
-        if not (1 <= self.horizon < length):
-            raise LmaError(f"horizon {self.horizon} inconsistent with channel length {length}")
-        if not np.all(np.isfinite(ch)):
-            raise LmaError("covariate channels contain non-finite values")
-        ch = ch.copy()
-        ch.setflags(write=False)
-        object.__setattr__(self, "channels", ch)
 
     @property
     def n_channels(self) -> int:
@@ -222,7 +208,10 @@ def assemble_covariates(
     its own training-range (first n steps) mean and population std, per
     series; a zero-variance channel is shifted to zero and left unscaled.
     Returns None when the model runs on the lagged target alone.
+    ``horizon`` must be an integer >= 1, checked before any work.
     """
+    if not is_count(horizon):
+        raise LmaError(f"horizon must be an integer >= 1, got {horizon!r}")
     channels = None
     kinds: tuple[str, ...] = ()
     if lma_cfg is not None:
@@ -252,6 +241,7 @@ def assemble_covariates(
         kinds += ("dow",)
     if channels is None:
         return None
+    channels.setflags(write=False)
     return CovariatePanel(panel.series_ids, kinds, horizon, channels)
 
 

@@ -54,6 +54,23 @@ class TestSeasonalNaive:
             seasonal_naive(np.float64(1.0), 1, 1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: seasonal_naive(np.ones(20), 7.0, 3),
+        lambda: seasonal_naive(np.ones(20), True, 3),
+        lambda: seasonal_naive(np.ones(20), 7, 3.0),
+        lambda: holt_winters(np.ones(20), HoltWintersConfig(), 3.0),
+        lambda: holt_winters(np.ones(20), HoltWintersConfig(), True),
+    ],
+)
+def test_counts_must_be_integers(call):
+    """season and horizon are integers >= 1, bools excluded: anything else is
+    one BaselineError, not an IndexError from the indexing it feeds."""
+    with pytest.raises(BaselineError, match="must be an integer >= 1"):
+        call()
+
+
 class TestHoltWinters:
     def test_initialization_from_first_two_seasons(self):
         """Level starts at the first-season mean, trend at the per-step season-mean gap,

@@ -906,6 +906,23 @@ class TestTraining:
         train(panel, assemble_covariates(panel, lma, 3), cfg, lma)
         assert calls
 
+    def test_hand_built_record_trains_like_the_built_one(self):
+        """train trains on its own build and only compares the caller's record
+        with it, so a record written by hand with list channels equal to the
+        build trains to the built record's bytes."""
+        from cellcast import CovariatePanel, LmaConfig, assemble_covariates
+
+        panel = sinusoid_panel()
+        cfg = self.small_cfg(epochs=1, day_of_week=True)
+        lma = LmaConfig(window_len=7, horizon=3)
+        built = assemble_covariates(panel, lma, 3, day_of_week=True)
+        channels = built.channels.tolist()
+        by_hand = CovariatePanel(built.series_ids, built.kinds, built.horizon, channels)
+        want = train(panel, built, cfg, lma)
+        got = train(panel, by_hand, cfg, lma)
+        assert got.params.to_vector().tobytes() == want.params.to_vector().tobytes()
+        assert got.epoch_nll == want.epoch_nll
+
 
 class TestForecasting:
     def conditioning(self, rng, m=20):

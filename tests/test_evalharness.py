@@ -5,13 +5,13 @@ import json
 import hashlib
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from cellcast import (
     EvalError,
-    EvalReport,
     HoltWintersForecaster,
     LmaConfig,
     SeasonalNaiveForecaster,
@@ -152,7 +152,40 @@ class TestMetrics:
         with pytest.raises(EvalError, match="non-finite values in predicted"):
             score_steps(good, nan_pred, (1, 3))
         with pytest.raises(EvalError, match="shape mismatch"):
-            score_steps(good, np.ones((2, 2)), (1, 3))
+            score_steps(good, np.ones((3, 5)), (1, 3))
+
+    @pytest.mark.parametrize(
+        "shapes, steps, match",
+        [
+            (((2, 3), (2, 3)), (3, 5), "step 5 exceeds the 3 days"),
+            (((2, 5), (2, 3)), (3, 4), "step 4 exceeds the 3 days"),
+            (((2, 3), (2, 3)), (0,), "steps must be nonempty, strictly increasing integers"),
+            (((2, 3), (2, 3)), (), "steps must be nonempty"),
+            (((2, 3), (2, 3)), (3, 2), "steps must be nonempty, strictly increasing integers"),
+            (((2, 3), (2, 3)), (2.5,), "steps must be nonempty, strictly increasing integers"),
+            (((2, 3), (2, 3)), (True,), "steps must be nonempty, strictly increasing integers"),
+            (((0, 3), (0, 3)), (1,), "no series or no days"),
+        ],
+    )
+    def test_score_steps_scores_only_days_the_data_have(self, shapes, steps, match):
+        """Every argument is checked before any arithmetic: a step past either
+        matrix's days, steps that are empty, unordered, below 1 or not
+        integers, and a matrix without series are each one EvalError, with
+        no numpy warning first."""
+        actual, predicted = (np.ones(shape) for shape in shapes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalError, match=match):
+                score_steps(actual, predicted, steps)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_metrics_reject_empty_matrices(self, shape):
+        """A matrix with no series or no days is one EvalError, not numpy's
+        empty-mean warning and a nan."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalError, match="no series or no days"):
+                rmsle_pooled(np.ones(shape), np.ones(shape))
 
 
 def weekly_panel(n_series=6, n_steps=40, seed=201):
@@ -292,17 +325,24 @@ class TestSweep:
         with pytest.raises(EvalError):
             sweep(models, self.panel, self.split, steps=(0, 2))
         with pytest.raises(EvalError):
+            sweep(models, self.panel, self.split, steps=(2, 3.0))
+        with pytest.raises(EvalError):
             sweep(models, self.panel, self.split, steps=(2, 9))  # beyond the test range
         with pytest.raises(EvalError):
             sweep({}, self.panel, self.split, steps=(2,))
 
     def test_accessors(self):
+        """sweep builds each report field in its final form: int steps and
+        read-only float64 curves, one row per model."""
         report = sweep(
             {"naive": SeasonalNaiveForecaster(season=7), "hw": HoltWintersForecaster()},
             self.panel,
             self.split,
-            steps=(2, 4),
+            steps=(np.int64(2), 4),
         )
+        assert report.steps == (2, 4) and all(type(s) is int for s in report.steps)
+        for curve in (report.pooled, report.stability):
+            assert curve.dtype == np.float64 and curve.shape == (2, 2) and not curve.flags.writeable
         assert set(report.models) == {"naive", "hw"}
         for name in report.models:
             np.testing.assert_array_equal(
@@ -640,25 +680,3 @@ class TestWriters:
         assert svg.count("<polyline") == len(report.models)
         for name in report.models:
             assert name in svg
-
-
-class TestEvalReportValidation:
-    def test_shape_checks(self):
-        with pytest.raises(EvalError):
-            EvalReport(
-                steps=(1, 2),
-                models=("m",),
-                pooled=np.zeros((1, 3)),
-                stability=np.zeros((1, 2)),
-                failures={},
-                provenance={},
-            )
-        with pytest.raises(EvalError):
-            EvalReport(
-                steps=(1,),
-                models=("m",),
-                pooled=np.array([[np.nan]]),
-                stability=np.zeros((1, 1)),
-                failures={},
-                provenance={},
-            )

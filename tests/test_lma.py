@@ -280,6 +280,16 @@ class TestCovariatePanel:
         with pytest.raises(LmaError, match="horizon"):
             assemble_covariates(panel, LmaConfig(window_len=10, horizon=5), 7)
 
+    @pytest.mark.parametrize("horizon", [2.5, True, 0])
+    def test_horizon_must_be_an_integer_at_least_one(self, horizon):
+        """assemble_covariates checks horizon before any work: a float, a bool
+        or a count below 1 is one LmaError, with or without LMA channels."""
+        panel = small_panel(np.random.default_rng(16), n_steps=30)
+        with pytest.raises(LmaError, match="horizon must be an integer >= 1"):
+            assemble_covariates(panel, None, horizon, day_of_week=True)
+        with pytest.raises(LmaError, match="horizon must be an integer >= 1"):
+            assemble_covariates(panel, LmaConfig(window_len=10, horizon=5), horizon)
+
     def test_export_quotes_ids(self, tmp_path):
         """Ids that need quoting are quoted: every row reads back through csv
         as 4 fields, and the values are the assembled channels bit for bit."""

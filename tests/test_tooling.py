@@ -1,7 +1,8 @@
 """Checks on what lives next to the package: the benchmark's hooks and its
 trajectory count, the README's examples, the modules that own the CSV
 format and the use of a second CPU, the network's trust in its callers,
-the one owner of the weights' layout, and the byte-identity script.
+the one owner of the weights' layout, the records only their builders
+make, and the byte-identity script.
 
 perfbench traces cellcast by wrapping module attributes by name, so a
 renamed or bypassed function silently drops its metrics; the smoke run
@@ -184,9 +185,42 @@ def test_only_stacked_weights_lays_out_the_weights():
     assert owners == [(os.path.join("deepar", "network.py"), "stacked_weights")]
 
 
+def test_records_are_made_only_by_their_builders():
+    """Forecast, CovariatePanel and EvalReport are plain records: none defines
+    __post_init__, and under src/cellcast each is called only inside its one
+    builder (sample_forecast, assemble_covariates, sweep), whose checks are
+    the record's."""
+    builders = {
+        "Forecast": (os.path.join("deepar", "forecasting.py"), "sample_forecast"),
+        "CovariatePanel": ("lma.py", "assemble_covariates"),
+        "EvalReport": ("evalharness.py", "sweep"),
+    }
+    package = os.path.join(ROOT, "src", "cellcast")
+    checked, calls = [], []
+    for folder, _, files in os.walk(package):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            rel = os.path.relpath(path, package)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for top in tree.body:
+                if isinstance(top, ast.ClassDef) and top.name in builders:
+                    methods = [getattr(node, "name", None) for node in top.body]
+                    checked += [top.name] if "__post_init__" in methods else []
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call):
+                        called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if called in builders:
+                            calls.append((called, rel, getattr(top, "name", None)))
+    assert checked == []
+    assert sorted(calls) == sorted((record, *builder) for record, builder in builders.items())
+
+
 def test_artifact_digests_script_names_every_artifact(tmp_path):
     """scripts/artifact_digests.py runs the whole pipeline and prints one
-    sha256 line per artifact and sidecar, 33 in all, sorted by name."""
+    sha256 line per artifact and sidecar, 39 in all, sorted by name."""
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "artifact_digests.py"), str(out)],
@@ -201,14 +235,17 @@ def test_artifact_digests_script_names_every_artifact(tmp_path):
         "forecast_point.csv",
         "forecast_point_1layer.csv",
         "forecast_point_3layer.csv",
+        "forecast_point_dowonly.csv",
         "forecast_samples.csv",
         "forecast_samples_1layer.csv",
         "forecast_samples_3layer.csv",
+        "forecast_samples_dowonly.csv",
         "metrics.csv",
         "model.bin",
         "model_1layer.bin",
         "model_3layer.bin",
         "model_dow.bin",
+        "model_dowonly.bin",
         "model_nolma.bin",
         "panel.csv",
     ]
@@ -218,7 +255,7 @@ def test_artifact_digests_script_names_every_artifact(tmp_path):
         + [f"{name}.provenance.json" for name in artifacts]
         + [f"report_{name}" for name in reports]
     )
-    assert len(expected) == 33
+    assert len(expected) == 39
     assert [line.split("  ")[1] for line in lines] == expected
     for line in lines:
         digest, name = line.split("  ")
