@@ -10,7 +10,6 @@ from .baselines import BaselineError, HoltWintersConfig, holt_winters, seasonal_
 from .deepar import (
     Forecast,
     ForecastError,
-    LayerParams,
     NetworkParams,
     TrainConfig,
     TrainedModel,
@@ -82,7 +81,6 @@ __all__ = [
     "HoltWintersConfig",
     "HoltWintersForecaster",
     "init_params",
-    "LayerParams",
     "lma_features",
     "lma_window",
     "LmaConfig",

@@ -7,7 +7,7 @@ observed windows under teacher forcing; prediction runs the same network
 trajectories by ancestral sampling.
 """
 
-from .params import LayerParams, NetworkParams, init_params
+from .params import NetworkParams, init_params
 from .grad import batch_loss_and_grad
 
 from .training import TrainConfig, TrainedModel, TrainError, train
@@ -15,7 +15,6 @@ from .forecasting import Forecast, ForecastError, point_forecast, sample_forecas
 from .store import MODEL_FORMAT_VERSION, ModelStoreError, load_model, save_model
 
 __all__ = [
-    "LayerParams",
     "NetworkParams",
     "init_params",
     "batch_loss_and_grad",

@@ -18,9 +18,11 @@ and faulted in again each time), and a partial last batch uses its leading
 rows.  The cell writes straight into the caches.  The backward pass walks
 the same wavefronts in reverse: layer j's step t needs the gradients of
 layer j's step t + 1 and of layer j + 1's step t, both from the wavefront
-after, so it too moves every layer at once.  Every product keeps the shape
-and strides it has when the layers run one at a time, and every element
-goes through the same operations, so the schedule changes no byte.
+after, so it too moves every layer at once.  It multiplies by the
+parameters' own stacks of input and recurrent weights and returns the
+gradient as one ``NetworkParams`` of the same stacks.  Every product keeps
+the shape and strides it has when the layers run one at a time, and every
+element goes through the same operations, so the schedule changes no byte.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .network import (
     wavefront,
     wavefront_layers,
 )
-from .params import LayerParams, NetworkParams
+from .params import NetworkParams
 
 __all__ = ["batch_buffers", "batch_loss_and_grad"]
 
@@ -122,12 +124,10 @@ def _backward_batch(
     d_head_w = np.einsum("btr,bth->rh", d_raw, top_h)
     d_head_b = d_raw.sum(axis=(0, 1))
     d_top = d_raw @ params.head_w
-    wx = np.stack([layer.wx for layer in params.layers[1:]]) if n_layers > 1 else None
-    wh = np.stack([layer.wh for layer in params.layers])
-    d_wx0 = np.zeros_like(params.layers[0].wx)
-    d_wx = np.zeros((n_layers - 1, 4 * hidden, hidden))
-    d_wh = np.zeros_like(wh)
-    d_b = np.zeros((n_layers, 4 * hidden))
+    d_wx0 = np.zeros_like(params.w0)
+    d_wx = np.zeros_like(params.wx)
+    d_wh = np.zeros_like(params.wh)
+    d_b = np.zeros_like(params.b)
     dh_next = np.zeros((n_layers, n_batch, hidden))
     dc_next = np.zeros((n_layers, n_batch, hidden))
     # each layer's output gradient from above: the input gradient of the
@@ -154,12 +154,11 @@ def _backward_batch(
             up = max(lo, 1)
             upper = da[up : hi + 1]
             d_wx[up - 1 : hi] += upper.transpose(0, 2, 1) @ h[k, up - 1 : hi]
-            d_above[up - 1 : hi] = upper @ wx[up - 1 : hi]
+            d_above[up - 1 : hi] = upper @ params.wx[up - 1 : hi]
         d_wh[layers] += d.swapaxes(-1, -2) @ h[k, layers]
         d_b[layers] += np.add.reduce(d, axis=-2)
-        np.matmul(d, wh[layers], out=dh_next[layers])
-    d_wx_all = (d_wx0, *d_wx)
-    return NetworkParams(tuple(map(LayerParams, d_wx_all, d_wh, d_b)), d_head_w, d_head_b)
+        np.matmul(d, params.wh[layers], out=dh_next[layers])
+    return NetworkParams(d_wx0, d_wx, d_wh, d_b, d_head_w, d_head_b)
 
 
 def batch_loss_and_grad(
@@ -180,7 +179,7 @@ def batch_loss_and_grad(
     or sigma_floor that is not positive and covariates that do not match
     the model's channels are a ValueError, before any work.  Non-finite head
     outputs, loss or gradient raise ValueError (the outputs through
-    gaussian_nll, the gradient through the NetworkParams checks), which is
+    gaussian_nll, the gradient through one check of every array), which is
     how a diverging run shows.  buffers, from ``batch_buffers(B_max, T,
     params)`` with B_max >= B, holds the forward caches; without it the call
     allocates its own; a set built for another network, length or a
@@ -236,5 +235,7 @@ def batch_loss_and_grad(
     d_sigma = (1.0 / sigma - resid * resid / sigma**3) * inv_count
     d_spre = d_sigma * sigmoid(s_pre)
     grads = _backward_batch(d_mu, d_spre, steps, params, caches)
+    if not all(np.all(np.isfinite(a)) for a in grads.arrays()):
+        raise ValueError("non-finite gradient")
     return loss, grads
 

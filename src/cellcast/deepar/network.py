@@ -13,8 +13,9 @@ k - j, which needs only the wavefront before, so every layer moves in one
 ``wavefront`` call, stacked on a leading layer axis.  The sampler feeds
 each step's draw back as the next input and advances layer by layer
 (``advance``).  Both multiply by the weights ``stacked_weights`` lays
-out.  ``cut_windows`` turns panel windows into the pass's inputs (seed
-lag, channels, scale) for training and the forecast encoder alike.
+out from the parameters' stacks.  ``cut_windows`` turns panel windows
+into the pass's inputs (seed lag, channels, scale) for training and the
+forecast encoder alike.
 Everything here is deterministic; sampling lives in forecasting.
 
 Nothing here checks its inputs: ``train``, ``sample_forecast``,
@@ -203,13 +204,13 @@ def advance(
 class StackedWeights(NamedTuple):
     """A network's weights as ``wavefront`` and ``advance`` multiply them:
     layer 0's transposed input weights (in, 4H); the transposed input
-    weights of layers 1 and up (layers - 1, ..., hidden, 4H), None for one
+    weights of layers 1 and up (layers - 1, ..., hidden, 4H), empty for one
     layer; the transposed recurrent weights (layers, ..., hidden, 4H); and
     the biases (layers, ..., 4H).  The middle axes are the rows' leading
     axes but the last, so each layer's matrix broadcasts over them."""
 
     w0: np.ndarray
-    wx_t: np.ndarray | None
+    wx_t: np.ndarray
     wh_t: np.ndarray
     b: np.ndarray
 
@@ -222,23 +223,20 @@ def stacked_weights(params: NetworkParams, rows: tuple[int, ...]) -> StackedWeig
     transposes, which OpenBLAS runs faster.  One-row products (the
     encoder's per-series slices) multiply by transposed views: BLAS takes
     another path for them and would round differently with the copies,
-    moving every forecast.  Stacking keeps each layer's matrix, strides
-    included, so each product is the one it would be alone.
+    moving every forecast.  ``NetworkParams`` keeps each kind C-contiguous,
+    so each layer's transposed matrix, strides included, is the one it
+    would be alone, and each product is the one a layer alone would make.
     """
-    first, upper = params.layers[0], params.layers[1:]
     expand = (slice(None),) + (None,) * (len(rows) - 1)
 
     def layout(transposed: np.ndarray) -> np.ndarray:
         return transposed if rows[-1] == 1 else np.ascontiguousarray(transposed)
 
-    def stack(weights: list[np.ndarray]) -> np.ndarray:
-        return layout(np.stack(weights).transpose(0, 2, 1))[expand]
-
     return StackedWeights(
-        layout(first.wx.T),
-        stack([layer.wx for layer in upper]) if upper else None,
-        stack([layer.wh for layer in params.layers]),
-        np.stack([layer.b for layer in params.layers])[(*expand, None)],
+        layout(params.w0.T),
+        layout(params.wx.transpose(0, 2, 1))[expand],
+        layout(params.wh.transpose(0, 2, 1))[expand],
+        params.b[(*expand, None)],
     )
 
 

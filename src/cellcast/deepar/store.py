@@ -15,6 +15,14 @@ Layout, all integers little-endian unsigned 64-bit:
 Nothing in the file depends on time or environment, so saving the same model
 twice produces identical bytes, and a load followed by a save is a no-op at
 the byte level.
+
+``load_model`` is the one builder of a model from outside data, so it makes
+every check the records themselves do not: before it stacks the arrays into
+a ``NetworkParams`` it checks that the manifest names each array once, at
+least one layer, the configs' layer count, shapes that chain at the configs'
+hidden size, finite values, and an LMA recipe whose horizon and channel
+count describe the network.  Each failure is one ModelStoreError naming the
+field.
 """
 
 from __future__ import annotations
@@ -97,9 +105,13 @@ def load_model(path: str) -> TrainedModel:
             if header["lma_config"] is not None:
                 lma_config = from_json(LmaConfig, header["lma_config"])
             epoch_nll = tuple(float(v) for v in check_list(header["epoch_nll"], "float", "epoch_nll"))
+            listed = [e["name"] for e in header["arrays"]]
+            for name in listed:
+                if not isinstance(name, str):
+                    raise ValueError(f"array names must be strings, got {name!r}")
             manifest = [
-                (e["name"], check_list(e["shape"], "int", f"shape of {e['name']}"))
-                for e in header["arrays"]
+                (name, check_list(e["shape"], "int", f"shape of {name}"))
+                for name, e in zip(listed, header["arrays"])
             ]
             if any(d < 0 for _, shape in manifest for d in shape):
                 raise ValueError("negative array dimension in manifest")
@@ -110,7 +122,7 @@ def load_model(path: str) -> TrainedModel:
             if name in arrays:
                 raise ModelStoreError(f"{path}: corrupt model file: array {name} listed twice")
             raw = _read_exact(fh, math.prod(shape) * 8, f"array {name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if fh.read(1):
             raise ModelStoreError(f"{path}: corrupt model file: trailing bytes")
 
@@ -123,9 +135,48 @@ def load_model(path: str) -> TrainedModel:
     while f"layer{n_layers}.wx" in arrays:
         n_layers += 1
     try:
-        params = NetworkParams.from_arrays([take(name) for name in array_names(n_layers)])
+        names = array_names(max(n_layers, 1))  # no layer: layer0.wx is missing
+        values = [take(name) for name in names]
         if arrays:
             raise ValueError(f"unexpected arrays in file: {sorted(arrays)}")
-        return TrainedModel(params.freeze(), train_config, lma_config, epoch_nll)
+        _check_network(names, values, train_config, lma_config)
     except ValueError as exc:
         raise ModelStoreError(f"{path}: corrupt model file: {exc}") from exc
+    params = NetworkParams.from_arrays(values).freeze()
+    return TrainedModel(params, train_config, lma_config, epoch_nll)
+
+
+def _check_network(
+    names: list[str], values: list[np.ndarray], cfg: TrainConfig, lma: LmaConfig | None
+) -> None:
+    """Check a file's arrays, in ``NetworkParams.arrays()`` order, against
+    the configs before they are stacked; each fault is a ValueError naming
+    the field."""
+    n_layers = len(values) // 3
+    if n_layers != cfg.num_layers:
+        raise ValueError(f"network has num_layers {n_layers} but train_config says {cfg.num_layers}")
+    if values[0].ndim != 2 or values[0].shape[1] < 1:
+        raise ValueError(
+            f"array layer0.wx must be 2-D with at least one column, got shape {list(values[0].shape)}"
+        )
+    h, n_inputs = cfg.hidden_size, values[0].shape[1]
+    upper = [(4 * h, h), (4 * h, h), (4 * h,)]
+    shapes = [(4 * h, n_inputs), *upper[1:], *upper * (n_layers - 1), (2, h), (2,)]
+    for name, a, shape in zip(names, values, shapes):
+        if a.shape != shape:
+            raise ValueError(
+                f"array {name} has shape {list(a.shape)}, but train_config hidden_size {h}"
+                f" needs {list(shape)}"
+            )
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"non-finite values in array {name}")
+    if lma is not None:
+        if lma.horizon != cfg.horizon:
+            raise ValueError(f"lma_config horizon {lma.horizon} != train_config horizon {cfg.horizon}")
+        stated = len(lma.features) + cfg.day_of_week
+        if n_inputs - 1 != stated:
+            raise ValueError(
+                f"network takes {n_inputs - 1} covariate channels but lma_config"
+                f" features {list(lma.features)} and train_config day_of_week"
+                f" {cfg.day_of_week} give {stated}"
+            )

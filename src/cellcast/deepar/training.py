@@ -104,36 +104,18 @@ class TrainConfig:
 class TrainedModel:
     """Immutable training result: parameters, configs and the loss curve.
 
-    With an LMA recipe the configs must describe the network's input: the
-    recipe's horizon is the training horizon, and the input has the lagged
-    target, one channel per LMA feature and the weekday channel if used.
-    Without one the channel count is free (the caller supplies channels).
+    A plain record that ``train`` and ``load_model`` build consistent: the
+    network has the configs' layer count and hidden size and, with an LMA
+    recipe, the recipe's horizon is the training horizon and the input has
+    the lagged target, one channel per LMA feature and the weekday channel
+    if used.  Without one the channel count is free (the caller supplies
+    channels).
     """
 
     params: NetworkParams
     train_config: TrainConfig
     lma_config: LmaConfig | None
     epoch_nll: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        cfg, lma = self.train_config, self.lma_config
-        for name in ("num_layers", "hidden_size"):
-            built, stated = getattr(self.params, name), getattr(cfg, name)
-            if built != stated:
-                raise TrainError(f"network has {name} {built} but train_config says {stated}")
-        if lma is not None:
-            if lma.horizon != cfg.horizon:
-                raise TrainError(
-                    f"lma_config horizon {lma.horizon} != train_config horizon {cfg.horizon}"
-                )
-            stated = len(lma.features) + cfg.day_of_week
-            if self.n_channels != stated:
-                raise TrainError(
-                    f"network takes {self.n_channels} covariate channels but lma_config"
-                    f" features {list(lma.features)} and train_config day_of_week"
-                    f" {cfg.day_of_week} give {stated}"
-                )
-        object.__setattr__(self, "epoch_nll", tuple(float(v) for v in self.epoch_nll))
 
     @property
     def n_channels(self) -> int:

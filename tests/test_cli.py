@@ -441,7 +441,7 @@ class TestErrors:
         model = load_model(path)
         arrays = model.params.arrays()
         arrays[index] = np.full_like(arrays[index], value)
-        save_model(dataclasses.replace(model, params=model.params.with_arrays(arrays)), path)
+        save_model(dataclasses.replace(model, params=model.params.from_arrays(arrays)), path)
         argv = ["forecast"] + [arg for key, v in ov.items() for arg in ("--set", f"{key}={v}")]
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         proc = subprocess.run(

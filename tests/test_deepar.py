@@ -7,6 +7,7 @@ the math module so they share no code with the implementation.
 
 import json
 import math
+import re
 import struct
 import warnings
 import weakref
@@ -28,7 +29,7 @@ from cellcast import (
     substream,
     train,
 )
-from cellcast.deepar import LayerParams, ModelStoreError, batch_loss_and_grad
+from cellcast.deepar import ModelStoreError, batch_loss_and_grad
 from cellcast.deepar.grad import batch_buffers
 from cellcast.deepar import training
 from cellcast.deepar.network import (
@@ -67,6 +68,12 @@ def masked_sigmoid(x):
     return out
 
 
+def layer_arrays(params):
+    """Each layer's (wx, wh, b), read off the canonical flat order."""
+    arrays = params.arrays()[:-2]
+    return [tuple(arrays[i : i + 3]) for i in range(0, len(arrays), 3)]
+
+
 def oracle_forward(inputs, params, sigma_floor):
     """Plain-Python transcription of the stacked recurrence and head.
 
@@ -78,11 +85,11 @@ def oracle_forward(inputs, params, sigma_floor):
     out = []
     for x in inputs:
         cur = list(x)
-        for li, layer in enumerate(params.layers):
+        for li, (wx, wh, b) in enumerate(layer_arrays(params)):
             a = [
-                sum(layer.wx[r][j] * cur[j] for j in range(len(cur)))
-                + sum(layer.wh[r][j] * h[li][j] for j in range(hs))
-                + layer.b[r]
+                sum(wx[r][j] * cur[j] for j in range(len(cur)))
+                + sum(wh[r][j] * h[li][j] for j in range(hs))
+                + b[r]
                 for r in range(4 * hs)
             ]
             gi = [py_sigmoid(a[r]) for r in range(hs)]
@@ -159,8 +166,8 @@ class TestCellMath:
         h, c = h_prev.copy(), c_prev.copy()
         work = cell_workspace(x.shape[:-1], hs)
         advance(x, h, c, params, 1e-6, work, stacked_weights(params, x.shape[:-1]))
-        for j, layer in enumerate(params.layers):
-            a = x @ layout(layer.wx.T) + h_prev[j] @ layout(layer.wh.T) + layer.b
+        for j, (wx, wh, b) in enumerate(layer_arrays(params)):
+            a = x @ layout(wx.T) + h_prev[j] @ layout(wh.T) + b
             h_ref, c_ref, gates_ref = self.cell_from(a, c_prev[j], hs)
             assert h[j].tobytes() == h_ref.tobytes() and c[j].tobytes() == c_ref.tobytes()
             x = h_ref
@@ -204,15 +211,17 @@ class TestCellMath:
         params = make_params(3, 40, 3, seed=2)
         weights = stacked_weights(params, rows)
         one_row = rows[-1] == 1
-        pairs = [(weights.w0, params.layers[0].wx)]
-        pairs += [(weights.wx_t[j - 1], params.layers[j].wx) for j in (1, 2)]
-        pairs += [(weights.wh_t[j], params.layers[j].wh) for j in range(3)]
+        layers = layer_arrays(params)
+        pairs = [(weights.w0, layers[0][0])]
+        pairs += [(weights.wx_t[j - 1], layers[j][0]) for j in (1, 2)]
+        pairs += [(weights.wh_t[j], layers[j][1]) for j in range(3)]
         for stacked, w in pairs:
             item = stacked.reshape(stacked.shape[-2:])
             assert item.tobytes() == w.T.tobytes()
             assert item.strides == (w.T.strides if one_row else (8 * w.shape[0], 8))
         assert weights.b.shape == (3, *(1,) * len(rows), 160)
-        assert stacked_weights(make_params(3, 40, 1, seed=2), rows).wx_t is None
+        # one layer: no input weights above layer 0
+        assert stacked_weights(make_params(3, 40, 1, seed=2), rows).wx_t.shape == (0, *weights.wx_t.shape[1:])
 
     def test_workspace_gives_the_same_bytes_and_leaves_state(self):
         """lstm_cell writing into a reused workspace gives the bytes of a
@@ -262,7 +271,7 @@ class TestCellMath:
     def test_zero_weights_give_constant_head(self):
         """An all-zero network is input-blind: mu 0, sigma softplus(0) + floor everywhere."""
         params = make_params(1, 3, 2, seed=1)
-        zeros = params.with_arrays([np.zeros_like(a) for a in params.arrays()])
+        zeros = params.from_arrays([np.zeros_like(a) for a in params.arrays()])
         mu, sigma, _ = forward_window(np.array([5.0, 0.0, 123.0]), None, zeros, 2.0, 1e-6)
         assert mu.shape == sigma.shape == (3,)
         assert np.all(mu == 0.0)
@@ -509,12 +518,34 @@ class TestGradients:
             params.from_vector(vec[:-1])
 
     def test_freeze_makes_every_array_read_only(self):
+        """freeze makes the six stacks read-only, not only the views arrays()
+        returns: a read-only view leaves its base writable."""
         params = make_params(3, 5, 2, seed=2)
         assert params.freeze() is params
-        for a in params.arrays():
+        stacks = [params.w0, params.wx, params.wh, params.b, params.head_w, params.head_b]
+        for a in stacks + params.arrays():
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a.flat[0] = 1.0
+
+    def test_finite_loss_with_non_finite_gradient_is_a_value_error(self):
+        """An all-zero network whose location is exactly a constant series'
+        scaled value and whose spread is the floor, 1e-150: sigma squared,
+        1e-300, keeps the loss finite, but sigma cubed underflows to 0, so
+        the spread's gradient is 0/0.  That is a ValueError, as a diverging
+        run must be, not a gradient that reaches the update."""
+        c = 7.0
+        params = make_params(1, 3, 2, seed=1)
+        arrays = [np.zeros_like(a) for a in params.arrays()]
+        arrays[-1] = np.array([c / (1.0 + c), -1000.0])
+        params = params.from_arrays(arrays)
+        z = np.full((2, 5), c)
+        scales = np.full(2, 1.0 + c)
+        mu, sigma, _ = forward_window(z[0, :-1], None, params, scales[0], 1e-150)
+        assert np.all(np.isfinite(gaussian_nll(z[0, 1:] / scales[0], mu, sigma)))
+        with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                batch_loss_and_grad(z, None, scales, params, 1e-150)
 
 
 def reference_pass(z, x, scales, params, floor=1e-6):
@@ -534,8 +565,8 @@ def reference_pass(z, x, scales, params, floor=1e-6):
     layout = np.ascontiguousarray if n_batch > 1 else (lambda w: w)
     for t in range(length):
         x_t = inputs[:, t, :]
-        for idx, layer in enumerate(params.layers):
-            a = x_t @ layout(layer.wx.T) + h_all[t, idx] @ layout(layer.wh.T) + layer.b
+        for idx, (wx, wh, b) in enumerate(layer_arrays(params)):
+            a = x_t @ layout(wx.T) + h_all[t, idx] @ layout(wh.T) + b
             gg = np.tanh(a[:, 2 * hs : 3 * hs])
             s = masked_sigmoid(a)
             gi, gf, go = s[:, :hs], s[:, hs : 2 * hs], s[:, 3 * hs :]
@@ -557,9 +588,7 @@ def reference_pass(z, x, scales, params, floor=1e-6):
     d_head_w = np.einsum("btr,bth->rh", d_raw, top_h)
     d_head_b = d_raw.sum(axis=(0, 1))
     d_top = d_raw @ params.head_w
-    d_wx = [np.zeros_like(layer.wx) for layer in params.layers]
-    d_wh = [np.zeros_like(layer.wh) for layer in params.layers]
-    d_b = [np.zeros_like(layer.b) for layer in params.layers]
+    d_layers = [[np.zeros_like(a) for a in layer] for layer in layer_arrays(params)]
     dh_next = np.zeros((n_layers, n_batch, hs))
     dc_next = np.zeros((n_layers, n_batch, hs))
     da = np.empty((n_batch, 4 * hs))
@@ -574,14 +603,15 @@ def reference_pass(z, x, scales, params, floor=1e-6):
             da[:, 2 * hs : 3 * hs] = dct * gi * (1.0 - gg * gg)
             da[:, 3 * hs :] = dh * tc * go * (1.0 - go)
             dc_next[idx] = dct * gf
-            layer = params.layers[idx]
+            wx, wh, _ = layer_arrays(params)[idx]
+            d_wx, d_wh, d_b = d_layers[idx]
             x_in = inputs[:, t, :] if idx == 0 else h_all[t + 1, idx - 1]
-            d_wx[idx] += da.T @ x_in
-            d_wh[idx] += da.T @ h_all[t, idx]
-            d_b[idx] += da.sum(axis=0)
-            dh_next[idx] = da @ layer.wh
-            dx_above = da @ layer.wx if idx > 0 else None
-    grads = NetworkParams(tuple(map(LayerParams, d_wx, d_wh, d_b)), d_head_w, d_head_b)
+            d_wx += da.T @ x_in
+            d_wh += da.T @ h_all[t, idx]
+            d_b += da.sum(axis=0)
+            dh_next[idx] = da @ wh
+            dx_above = da @ wx if idx > 0 else None
+    grads = NetworkParams.from_arrays([*(a for layer in d_layers for a in layer), d_head_w, d_head_b])
     return loss, grads, top_h
 
 
@@ -1098,7 +1128,7 @@ class TestForecasting:
         arrays = model.params.arrays()
         arrays[-1] = np.array([0.2, -40.0])  # head bias: modest location, tiny spread
         model = TrainedModel(
-            model.params.with_arrays(arrays), model.train_config, None, ()
+            model.params.from_arrays(arrays), model.train_config, None, ()
         )
         ctx = model.train_config.context_length
         # m == ctx: the encoder window starts the series, so its seed lag is 0
@@ -1147,7 +1177,7 @@ class TestForecasting:
             model = tiny_model()
             arrays = model.params.arrays()
             arrays[index] = np.full_like(arrays[index], value)
-            model = TrainedModel(model.params.with_arrays(arrays), model.train_config, None, ())
+            model = TrainedModel(model.params.from_arrays(arrays), model.train_config, None, ())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ForecastError, match="non-finite values in forecast samples"):
@@ -1316,8 +1346,8 @@ class TestModelStore:
         params = model.params
         assert len(params.arrays()) == 3 * params.num_layers + 2
         assert params.n_parameters() == sum(
-            layer.wx.size + layer.wh.size + layer.b.size for layer in params.layers
-        ) + params.head_w.size + params.head_b.size
+            a.size for a in (params.w0, params.wx, params.wh, params.b, params.head_w, params.head_b)
+        )
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         blob = path.read_bytes()
@@ -1399,32 +1429,90 @@ class TestModelStore:
         with pytest.raises(ModelStoreError, match=key):
             load_model(bad)
 
-    @pytest.mark.parametrize(
-        "edit, phrase",
-        [
-            (lambda h: h.update(epoch_nll="12"), "epoch_nll must be a list of numbers"),
-            (lambda h: h.update(epoch_nll=[True, False]), "epoch_nll must be a list of numbers"),
-            (lambda h: h["arrays"][-1].update(shape="2"), "shape of head_b must be a list of integers"),
-            (lambda h: h["arrays"][-1].update(shape=[2.9]), "shape of head_b must be a list of integers"),
-        ],
-        ids=["nll-string", "nll-bools", "shape-string", "shape-float"],
-    )
-    def test_rejects_loss_curve_or_shape_of_wrong_type(self, tmp_path, edit, phrase):
-        """The loss curve must be a list of numbers and each array shape a list
-        of integers.  Anything else used to load through float() or int() and
-        save back as other bytes."""
-        _, path, _ = self.trained(tmp_path)
+    def edited(self, tmp_path, path, edit):
+        """A copy of the model file at path after edit(header, payload) has
+        changed its header dict and its payload, a dict of each array's
+        bytes by manifest name, in place.  The copy's payload is the bytes
+        of the edited manifest's names in its order, keyed by str(name),
+        and none for a name the payload lacks."""
         blob = open(path, "rb").read()
         (header_len,) = struct.unpack("<Q", blob[24:32])
         header = json.loads(blob[32 : 32 + header_len])
-        assert header["arrays"][-1]["name"] == "head_b"
-        edit(header)
+        payload, pos = {}, 32 + header_len
+        for entry in header["arrays"]:
+            size = 8 * math.prod(entry["shape"])
+            payload[entry["name"]] = blob[pos : pos + size]
+            pos += size
+        edit(header, payload)
         new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        bad = str(tmp_path / "typed.bin")
+        bad = str(tmp_path / "edited.bin")
         with open(bad, "wb") as fh:
             fh.write(blob[:24] + struct.pack("<Q", len(new_header)) + new_header)
-            fh.write(blob[32 + header_len :])
-        with pytest.raises(ModelStoreError, match=f"^{bad}: corrupt header: {phrase}"):
+            fh.write(b"".join(payload.get(str(e["name"]), b"") for e in header["arrays"]))
+        return bad
+
+    @pytest.mark.parametrize(
+        "edit, phrase",
+        [
+            (lambda h, p: h.update(epoch_nll="12"), "epoch_nll must be a list of numbers"),
+            (lambda h, p: h.update(epoch_nll=[True, False]), "epoch_nll must be a list of numbers"),
+            (lambda h, p: h["arrays"][-1].update(shape="2"), "shape of head_b must be a list of integers"),
+            (lambda h, p: h["arrays"][-1].update(shape=[2.9]), "shape of head_b must be a list of integers"),
+            (lambda h, p: h["arrays"][-1].update(name=["head", "b"]), "array names must be strings"),
+            (
+                lambda h, p: (
+                    h["arrays"].extend([{"name": 5, "shape": [1]}, {"name": "zz", "shape": [1]}]),
+                    p.update({"5": struct.pack("<d", 1.0), "zz": struct.pack("<d", 2.0)}),
+                ),
+                "array names must be strings",
+            ),
+        ],
+        ids=["nll-string", "nll-bools", "shape-string", "shape-float", "name-list", "name-int"],
+    )
+    def test_rejects_loss_curve_or_shape_of_wrong_type(self, tmp_path, edit, phrase):
+        """The loss curve must be a list of numbers, each array shape a list
+        of integers and each array name a string.  Anything else used to
+        load through float() or int() and save back as other bytes, or, for
+        a name, end in a TypeError traceback."""
+        _, path, _ = self.trained(tmp_path)
+        bad = self.edited(tmp_path, path, edit)
+        with pytest.raises(ModelStoreError, match=f"^{re.escape(bad)}: corrupt header: {phrase}"):
+            load_model(bad)
+
+    @pytest.mark.parametrize(
+        "edit, phrase",
+        [
+            (
+                lambda h, p: p.update({"layer1.wh": struct.pack("<d", math.nan) + p["layer1.wh"][8:]}),
+                "non-finite values in .*wh",
+            ),
+            (
+                lambda h, p: p.update({"head_w": p["head_w"][:-8] + struct.pack("<d", math.inf)}),
+                "non-finite values in .*head",
+            ),
+            (lambda h, p: h["arrays"][0].update(shape=[1, 24]), "wx"),
+            (lambda h, p: h["arrays"][0].update(shape=[24]), "layer"),
+            (lambda h, p: (h["arrays"][0].update(shape=[24, 0]), p.update({"layer0.wx": b""})), "column"),
+            (lambda h, p: h["arrays"][-2].update(shape=[1, 12]), "head"),
+            (
+                lambda h, p: h.update(arrays=[e for e in h["arrays"] if e["name"].startswith("head")]),
+                "layer",
+            ),
+        ],
+        ids=["nan", "inf", "wx-transposed", "wx-flat", "wx-no-input", "head-w-flat", "no-layers"],
+    )
+    def test_rejects_arrays_a_network_cannot_hold(self, tmp_path, edit, phrase):
+        """The store is the one builder of a model from outside data, so it
+        checks what the records do not: finite weights, shapes that chain
+        at the configs' hidden size (6 here, so layer0.wx is (24, 1) and
+        head_w (2, 6); each wrong shape keeps the byte count) and at least
+        one layer.  Each fault is one ModelStoreError naming the array.  The
+        network records checked these themselves before the store did,
+        except a layer0.wx with no input column, which loaded as a network
+        of input size 0."""
+        _, path, _ = self.trained(tmp_path)
+        bad = self.edited(tmp_path, path, edit)
+        with pytest.raises(ModelStoreError, match=f"^{re.escape(bad)}: corrupt model file: .*{phrase}"):
             load_model(bad)
 
     def test_rejects_lengths_past_the_end_of_the_file(self, tmp_path):

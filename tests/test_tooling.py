@@ -160,10 +160,10 @@ def test_network_trusts_its_callers():
 
 
 def test_only_stacked_weights_lays_out_the_weights():
-    """How a product sees a layer's weights (a C-contiguous copy of the
-    transpose, or the transposed view) is decided in one place,
-    network.stacked_weights: no other code under src/cellcast takes .T of
-    an attribute named wx or wh."""
+    """How a product sees the weights (C-contiguous copies of the
+    transposes, or the transposed views) is decided in one place,
+    network.stacked_weights: no other code under src/cellcast takes .T or
+    .transpose of an attribute named w0, wx or wh."""
     package = os.path.join(ROOT, "src", "cellcast")
     owners = []
     for folder, _, files in os.walk(package):
@@ -177,26 +177,36 @@ def test_only_stacked_weights_lays_out_the_weights():
                 for node in ast.walk(top):
                     if (
                         isinstance(node, ast.Attribute)
-                        and node.attr == "T"
+                        and node.attr in ("T", "transpose")
                         and isinstance(node.value, ast.Attribute)
-                        and node.value.attr in ("wx", "wh")
+                        and node.value.attr in ("w0", "wx", "wh")
                     ):
                         owners.append((os.path.relpath(path, package), getattr(top, "name", None)))
-    assert owners == [(os.path.join("deepar", "network.py"), "stacked_weights")]
+    assert sorted(owners) == [(os.path.join("deepar", "network.py"), "stacked_weights")] * 3
 
 
 def test_records_are_made_only_by_their_builders():
-    """Forecast, CovariatePanel and EvalReport are plain records: none defines
-    __post_init__, and under src/cellcast each is called only inside its one
-    builder (sample_forecast, assemble_covariates, sweep), whose checks are
-    the record's."""
+    """Forecast, CovariatePanel, EvalReport, NetworkParams and TrainedModel
+    are plain records: none defines __post_init__, and under src/cellcast
+    each is called only inside its builders, whose checks are the record's:
+    sample_forecast, assemble_covariates and sweep; NetworkParams' own
+    from_arrays (as cls) and the gradient, _backward_batch; train and the
+    model store's load_model."""
     builders = {
-        "Forecast": (os.path.join("deepar", "forecasting.py"), "sample_forecast"),
-        "CovariatePanel": ("lma.py", "assemble_covariates"),
-        "EvalReport": ("evalharness.py", "sweep"),
+        "Forecast": {(os.path.join("deepar", "forecasting.py"), "sample_forecast")},
+        "CovariatePanel": {("lma.py", "assemble_covariates")},
+        "EvalReport": {("evalharness.py", "sweep")},
+        "NetworkParams": {
+            (os.path.join("deepar", "params.py"), "NetworkParams"),
+            (os.path.join("deepar", "grad.py"), "_backward_batch"),
+        },
+        "TrainedModel": {
+            (os.path.join("deepar", "training.py"), "train"),
+            (os.path.join("deepar", "store.py"), "load_model"),
+        },
     }
     package = os.path.join(ROOT, "src", "cellcast")
-    checked, calls = [], []
+    checked, calls = [], set()
     for folder, _, files in os.walk(package):
         for name in sorted(files):
             if not name.endswith(".py"):
@@ -212,10 +222,12 @@ def test_records_are_made_only_by_their_builders():
                 for node in ast.walk(top):
                     if isinstance(node, ast.Call):
                         called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if called == "cls" and isinstance(top, ast.ClassDef):
+                            called = top.name
                         if called in builders:
-                            calls.append((called, rel, getattr(top, "name", None)))
+                            calls.add((called, rel, getattr(top, "name", None)))
     assert checked == []
-    assert sorted(calls) == sorted((record, *builder) for record, builder in builders.items())
+    assert calls == {(record, *where) for record, places in builders.items() for where in places}
 
 
 def test_artifact_digests_script_names_every_artifact(tmp_path):
