@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_field_types, is_count
+from ._fields import check_field_types, is_count, ruled
 
 __all__ = ["BaselineError", "HoltWintersConfig", "holt_winters", "seasonal_naive"]
 
@@ -50,19 +50,13 @@ def seasonal_naive(train: np.ndarray, season: int, horizon: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HoltWintersConfig:
-    season: int = 7
-    alpha: float = 0.3
-    beta: float = 0.05
-    gamma: float = 0.1
+    season: int = ruled(7, at_least=1)
+    alpha: float = ruled(0.3, unit=True)
+    beta: float = ruled(0.05, unit=True)
+    gamma: float = ruled(0.1, unit=True)
 
     def __post_init__(self) -> None:
         check_field_types(self, BaselineError)
-        if self.season < 1:
-            raise BaselineError(f"season must be >= 1, got {self.season}")
-        for name in ("alpha", "beta", "gamma"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise BaselineError(f"{name} must lie in [0, 1], got {v}")
 
 
 def _smoothing_pass(

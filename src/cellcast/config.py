@@ -8,10 +8,13 @@ keys fall back to defaults that reproduce the desk-scale experiment; unknown
 sections or keys are errors so typos cannot silently change a run.  Values
 can be overridden from the command line with ``--set section.key=value``.
 Building a ``RunConfig`` builds each section's dataclass once from the JSON
-values, and each dataclass checks its values when it is built, types
-included: a value must match its field's annotation (see ``_fields``), so
-2.5 or true is not an integer and the string "False" is not a boolean.
-``RunConfig.section(name)`` returns the built section.
+values, and each dataclass checks its values when it is built (see
+``_fields``): a value must match its field's annotation, so 2.5 or true is
+not an integer and the string "False" is not a boolean; every number must
+be finite; and the bounds and choices declared on a field are checked
+there, each error naming its key.  A ``__post_init__`` adds only the rules
+that tie two fields together.  ``RunConfig.section(name)`` returns the
+built section.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from ._fields import check_field_types, from_json, to_json
+from ._fields import check_field_types, from_json, is_increasing_counts, ruled, to_json
 from .baselines import HoltWintersConfig
 from .deepar import TrainConfig
 from .deepar.forecasting import POINT_STATISTICS
@@ -46,39 +49,17 @@ class SweepConfig:
     trajectories each network draws and which statistic turns them into a
     point forecast, the shared seed, and the seasonal-naive season."""
 
-    steps: tuple[int, ...] = DEFAULT_STEPS
-    n_samples: int = 100
-    statistic: str = "median"
-    seed: int = 1
-    models: tuple[str, ...] = KNOWN_MODELS
-    naive_season: int = 7
+    steps: tuple[int, ...] = ruled(DEFAULT_STEPS, nonempty=True)
+    n_samples: int = ruled(100, at_least=1)
+    statistic: str = ruled("median", among=POINT_STATISTICS)
+    seed: int = ruled(1, at_least=0)
+    models: tuple[str, ...] = ruled(KNOWN_MODELS, nonempty=True, among=KNOWN_MODELS, unique=True)
+    naive_season: int = ruled(7, at_least=1)
 
     def __post_init__(self) -> None:
         check_field_types(self, ConfigError)
-        if not self.steps:
-            raise ConfigError("steps must be a nonempty list of integers")
-        steps = self.steps
-        if steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ConfigError(f"steps must be strictly increasing and >= 1, got {steps}")
-        if not self.models:
-            raise ConfigError("models must be a nonempty list of model names")
-        for name in self.models:
-            if name not in KNOWN_MODELS:
-                raise ConfigError(
-                    f"unknown model {name!r} in models, expected one of {list(KNOWN_MODELS)}"
-                )
-        if len(set(self.models)) != len(self.models):
-            raise ConfigError("models contains duplicates")
-        if self.statistic not in POINT_STATISTICS:
-            raise ConfigError(
-                f"statistic must be one of {list(POINT_STATISTICS)}, got {self.statistic!r}"
-            )
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.naive_season < 1:
-            raise ConfigError(f"naive_season must be >= 1, got {self.naive_season}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not is_increasing_counts(self.steps):
+            raise ConfigError(f"steps must be strictly increasing and >= 1, got {self.steps}")
 
 
 SECTIONS = {

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .._fields import is_count
+from .._fields import is_count, is_int
 from .._rng import substreams
 from .network import advance, cell_workspace, cut_windows, forward_window, stacked_weights
 from .training import TrainedModel
@@ -59,7 +59,7 @@ class ForecastError(ValueError):
 
 def _seed_ids(seed: int | tuple[int, ...]) -> tuple[int, ...]:
     ids = seed if isinstance(seed, tuple) else (seed,)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in ids):
+    if not all(map(is_int, ids)):
         raise ForecastError(f"seed must be an int or a tuple of ints, got {seed!r}")
     if not ids:
         raise ForecastError("seed tuple must be nonempty")

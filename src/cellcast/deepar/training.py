@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._fields import check_field_types
+from .._fields import check_field_types, ruled
 from .._rng import substream
 from ..lma import CovariatePanel, LmaConfig, assemble_covariates
 from ..panel import SeriesPanel
 from .grad import batch_buffers, batch_loss_and_grad
-from .network import cut_windows
+from .network import DEFAULT_SIGMA_FLOOR, cut_windows
 from .params import NetworkParams, init_params
 
 __all__ = [
@@ -58,42 +58,24 @@ class TrainError(ValueError):
 @dataclass(frozen=True)
 class TrainConfig:
     context_length: int = 62
-    horizon: int = 31
-    epochs: int = 15
-    learning_rate: float = 1e-2
-    batch_size: int = 32
-    hidden_size: int = 40
-    num_layers: int = 2
-    sigma_floor: float = 1e-6
-    seed: int = 0
-    windows_per_series: int = 64
-    clip_norm: float = 1000.0
+    horizon: int = ruled(31, at_least=1)
+    epochs: int = ruled(15, at_least=0)
+    learning_rate: float = ruled(1e-2, positive=True)
+    batch_size: int = ruled(32, at_least=1)
+    hidden_size: int = ruled(40, at_least=1)
+    num_layers: int = ruled(2, at_least=1)
+    sigma_floor: float = ruled(DEFAULT_SIGMA_FLOOR, positive=True)
+    seed: int = ruled(0, at_least=0)
+    windows_per_series: int = ruled(64, at_least=1)
+    clip_norm: float = ruled(1000.0, positive=True)
     day_of_week: bool = False
 
     def __post_init__(self) -> None:
         check_field_types(self, TrainError)
-        if self.horizon < 1 or self.context_length < self.horizon:
+        if self.context_length < self.horizon:
             raise TrainError(
-                f"need context_length >= horizon >= 1, got {self.context_length}, {self.horizon}"
+                f"need context_length >= horizon, got {self.context_length}, {self.horizon}"
             )
-        if self.epochs < 0:
-            raise TrainError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise TrainError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.hidden_size < 1 or self.num_layers < 1:
-            raise TrainError(
-                f"hidden_size and num_layers must be >= 1, got {self.hidden_size}, {self.num_layers}"
-            )
-        if not self.sigma_floor > 0:
-            raise TrainError(f"sigma_floor must be positive, got {self.sigma_floor}")
-        if self.windows_per_series < 1:
-            raise TrainError(f"windows_per_series must be >= 1, got {self.windows_per_series}")
-        if not self.clip_norm > 0:
-            raise TrainError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.seed < 0:
-            raise TrainError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def window_len(self) -> int:

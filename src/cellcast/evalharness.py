@@ -20,7 +20,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from ._fields import hashed_json, is_count, to_json
+from ._fields import hashed_json, is_increasing_counts, to_json
 from ._fork import in_halves
 from .baselines import HoltWintersConfig, holt_winters, seasonal_naive
 from .deepar import MODEL_FORMAT_VERSION, TrainedModel, point_forecast, sample_forecast
@@ -82,7 +82,7 @@ def _check_pair(actual: np.ndarray, predicted: np.ndarray) -> tuple[np.ndarray, 
 def _check_steps(steps: tuple[int, ...]) -> tuple[int, ...]:
     """``steps`` as a tuple of ints when they are nonempty, strictly increasing integers >= 1."""
     steps = tuple(steps)
-    if not steps or not all(map(is_count, steps)) or any(b <= a for a, b in zip(steps, steps[1:])):
+    if not is_increasing_counts(steps):
         raise EvalError(f"steps must be nonempty, strictly increasing integers >= 1, got {steps}")
     return tuple(int(s) for s in steps)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._fields import check_field_types, is_count
+from ._fields import check_field_types, is_count, ruled
 from .panel import SeriesPanel, write_long
 
 __all__ = [
@@ -66,24 +66,17 @@ class LmaConfig:
     """
 
     window_len: int = 62
-    horizon: int = 31
-    features: tuple[str, ...] = ("mean", "std")
+    horizon: int = ruled(31, at_least=1)
+    features: tuple[str, ...] = ruled(("mean", "std"), nonempty=True, among=FEATURE_KINDS, unique=True)
     standardize: bool = True
 
     def __post_init__(self) -> None:
         check_field_types(self, LmaError)
-        if not (self.window_len >= self.horizon >= 1):
+        if self.window_len < self.horizon:
             raise LmaError(
-                f"need window_len >= horizon >= 1, got window_len={self.window_len}, "
+                f"need window_len >= horizon, got window_len={self.window_len}, "
                 f"horizon={self.horizon}"
             )
-        if len(self.features) == 0:
-            raise LmaError("features must be nonempty")
-        for kind in self.features:
-            if kind not in FEATURE_KINDS:
-                raise LmaError(f"unknown feature kind {kind!r}, expected one of {FEATURE_KINDS}")
-        if len(set(self.features)) != len(self.features):
-            raise LmaError(f"duplicate feature kinds in {self.features}")
 
     @property
     def n_channels(self) -> int:

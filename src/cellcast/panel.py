@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._fields import check_field_types, parse_date
+from ._fields import check_field_types, parse_date, ruled
 
 __all__ = [
     "PanelError", "SeriesPanel", "SplitSpec", "load_panel", "read_long", "split_panel",
@@ -128,13 +128,11 @@ class SplitSpec:
     ``pred_start`` must leave at least one training step.
     """
 
-    pred_start: int
+    pred_start: int = ruled(at_least=2)
     pred_end: int
 
     def __post_init__(self) -> None:
         check_field_types(self, PanelError)
-        if self.pred_start <= 1:
-            raise PanelError("pred_start must be > 1 (at least one conditioning step required)")
         if self.pred_end < self.pred_start:
             raise PanelError(f"pred_end {self.pred_end} < pred_start {self.pred_start}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_field_types
+from ._fields import check_field_types, ruled
 from ._rng import substream, substreams
 from .panel import PanelError, SeriesPanel
 
@@ -43,40 +43,31 @@ class SynthConfig:
     ``burst_scale``.
     """
 
-    n_series: int = 50
-    n_total: int = 212
-    base_level: float = 500.0
+    n_series: int = ruled(50, at_least=1)
+    n_total: int = ruled(212, at_least=2)
+    base_level: float = ruled(500.0, at_least=0)
     trend_slope_range: tuple[float, float] = (-0.8, 1.6)
-    period: int = 7
+    period: int = ruled(7, at_least=1)
     amplitude_range: tuple[float, float] = (40.0, 120.0)
-    burst_rate: float = 0.05
-    burst_scale: float = 600.0
-    noise_sigma: float = 20.0
-    seed: int = 20210901
+    burst_rate: float = ruled(0.05, at_least=0)
+    burst_scale: float = ruled(600.0, at_least=0)
+    noise_sigma: float = ruled(20.0, at_least=0)
+    seed: int = ruled(20210901, at_least=0)
     start_date: dt.date = dt.date(2021, 1, 1)
 
     def __post_init__(self) -> None:
         check_field_types(self, SynthConfigError)
-        if self.n_series < 1:
-            raise SynthConfigError(f"n_series must be >= 1, got {self.n_series}")
-        if self.n_total < 2:
-            raise SynthConfigError(f"n_total must be >= 2, got {self.n_total}")
-        if self.period < 1:
-            raise SynthConfigError(f"period must be >= 1, got {self.period}")
-        if self.seed < 0:
-            raise SynthConfigError(f"seed must be >= 0, got {self.seed}")
         if (dt.date.max - self.start_date).days < self.n_total - 1:
             raise SynthConfigError(
                 f"start_date {self.start_date} leaves no room for {self.n_total} days"
                 f" up to {dt.date.max}"
             )
-        for name in ("base_level", "burst_rate", "burst_scale", "noise_sigma"):
-            if getattr(self, name) < 0:
-                raise SynthConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("trend_slope_range", "amplitude_range"):
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-                raise SynthConfigError(f"{name} must be a finite interval (lo <= hi), got ({lo}, {hi})")
+            if lo > hi or math.isinf(hi - lo):
+                raise SynthConfigError(
+                    f"{name} must be an interval (lo <= hi) of finite width, got ({lo}, {hi})"
+                )
 
 
 def series_params(cfg: SynthConfig, i: int) -> tuple[float, float, float]:

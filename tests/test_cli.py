@@ -110,6 +110,33 @@ class TestDefaults:
             cls(**kwargs)
         assert not hasattr(cls, "validate")
 
+    @pytest.mark.parametrize(
+        "name, kwargs, message",
+        [
+            ("lma", {"features": ("mean", "x")}, "features must be one of ['mean', 'std'], got 'x'"),
+            ("sweep", {"statistic": "mode"}, "statistic must be one of ['median', 'mean'], got 'mode'"),
+            ("sweep", {"models": ("deepar", "deepar")}, "models must not hold duplicates, got ('deepar', 'deepar')"),
+            ("sweep", {"models": ()}, "models must be nonempty"),
+            ("split", {"pred_start": 1, "pred_end": 5}, "pred_start must be >= 2, got 1"),
+            ("train", {"num_layers": 0}, "num_layers must be >= 1, got 0"),
+            ("train", {"learning_rate": 0.0}, "learning_rate must be positive, got 0.0"),
+            ("holt_winters", {"alpha": 1.5}, "alpha must lie in [0, 1], got 1.5"),
+            ("train", {"clip_norm": math.inf}, "clip_norm must be finite, got inf"),
+            ("synth", {"amplitude_range": (1.0, math.nan)}, "amplitude_range must be finite, got (1.0, nan)"),
+            ("synth", {"n_series": 0, "amplitude_range": (2.0, 1.0)}, "n_series must be >= 1, got 0"),
+        ],
+        ids=["among", "among-scalar", "unique", "nonempty", "at-least-2", "at-least-1", "positive",
+             "unit", "finite", "finite-each", "fields-before-cross-field"],
+    )
+    def test_field_rules_name_their_key(self, name, kwargs, message):
+        """Each single-field rule is declared on its field and checked by
+        _fields in one message format per rule, before the section's
+        cross-field rules."""
+        cls = SplitSpec if name == "split" else SECTIONS[name]
+        with pytest.raises(ValueError) as excinfo:
+            cls(**kwargs)
+        assert str(excinfo.value) == message
+
 
 class TestGenerate:
     def test_writes_panel_and_sidecar(self, tmp_path, capsys):
@@ -559,6 +586,36 @@ class TestErrors:
         section, field = key.split(".")
         assert err == f"error: invalid config section {section}: {field} must be >= 0, got -1\n"
         assert trained == []
+
+    @pytest.mark.parametrize(
+        "command, key, value, shown",
+        [
+            ("generate", "synth.burst_rate", "NaN", "nan"),
+            ("generate", "synth.noise_sigma", "Infinity", "inf"),
+            ("generate", "synth.base_level", "NaN", "nan"),
+            ("generate", "synth.base_level", "1" + "0" * 400, "1" + "0" * 400),
+            ("train", "train.sigma_floor", "Infinity", "inf"),
+            ("train", "train.learning_rate", "Infinity", "inf"),
+        ],
+        ids=["burst_rate-nan", "noise_sigma-inf", "base_level-nan", "base_level-huge-int",
+             "sigma_floor-inf", "learning_rate-inf"],
+    )
+    def test_non_finite_number_is_config_error(
+        self, tmp_path, capsys, monkeypatch, command, key, value, shown
+    ):
+        """A number key that is not finite (or an integer past the float
+        range) is one error line naming its section and key, before any panel
+        is generated or network trained."""
+        assert run_cli("generate", base_overrides(tmp_path)) == 0
+        capsys.readouterr()
+        work = []
+        monkeypatch.setattr(cli, "generate_panel", lambda *args: work.append(args))
+        monkeypatch.setattr(cli, "train", lambda *args: work.append(args))
+        assert run_cli(command, base_overrides(tmp_path, **{key: value})) == 1
+        section, field = key.split(".")
+        expected = f"error: invalid config section {section}: {field} must be finite, got {shown}\n"
+        assert capsys.readouterr().err == expected
+        assert work == []
 
     def test_baselines_only_sweep_ignores_train_horizon(self, tmp_path):
         """Steps past train.horizon are fine when no network is in the sweep."""

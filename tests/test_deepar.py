@@ -1407,11 +1407,13 @@ class TestModelStore:
             ("lma_config", "features", ["mean"]),
             ("train_config", "day_of_week", True),
             ("lma_config", "horizon", 5),
+            ("train_config", "clip_norm", math.inf),
         ],
     )
     def test_rejects_header_field_of_wrong_type(self, tmp_path, section, key, value):
-        """A header config value of the wrong type is a corrupt file, not a
-        TypeError later in forecasting; so is a layer count or hidden size
+        """A header config value of the wrong type or out of its rules (a
+        non-finite number) is a corrupt file, not a TypeError later in
+        forecasting; so is a layer count or hidden size
         that disagrees with the arrays, which would otherwise load and be
         reported as the network's size in every provenance file, and an LMA
         recipe whose channel count or horizon disagrees with the network,

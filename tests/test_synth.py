@@ -149,6 +149,14 @@ class TestValidation:
             with pytest.raises(SynthConfigError):
                 generate_panel(SynthConfig(**kw))
 
+    @pytest.mark.parametrize("name", ["trend_slope_range", "amplitude_range"])
+    def test_interval_wider_than_the_float_range_is_a_config_error(self, name):
+        """An interval whose width overflows, such as [-1e308, 1e308], is
+        refused when the config is built; drawing from it would raise
+        numpy's OverflowError, which no caller expects."""
+        with pytest.raises(SynthConfigError, match=rf"^{name} must be an interval .* of finite width"):
+            SynthConfig(**{name: (-1e308, 1e308)})
+
     def test_last_day_must_fit_the_calendar(self):
         """A start date whose n_total-th day is past date.max is a config error;
         one that ends exactly on date.max is a panel."""

@@ -2,7 +2,8 @@
 trajectory count, the README's examples, the modules that own the CSV
 format and the use of a second CPU, the network's trust in its callers,
 the one owner of the weights' layout, the records only their builders
-make, and the byte-identity script.
+make, the config sections' hand-written rules, and the byte-identity
+script.
 
 perfbench traces cellcast by wrapping module attributes by name, so a
 renamed or bypassed function silently drops its metrics; the smoke run
@@ -228,6 +229,59 @@ def test_records_are_made_only_by_their_builders():
                             calls.add((called, rel, getattr(top, "name", None)))
     assert checked == []
     assert calls == {(record, *where) for record, places in builders.items() for where in places}
+
+
+def test_config_sections_keep_only_cross_field_rules():
+    """Each config dataclass (a class whose __post_init__ calls
+    check_field_types) declares its single-field rules on its fields, for
+    _fields to check: its __post_init__ compares no value with a constant,
+    and raises only under the conditions below, each tying two fields (or
+    the two ends of an interval)."""
+    cross_field = {
+        "SynthConfig": ["(dt.date.max - self.start_date).days < self.n_total - 1", "lo > hi or math.isinf(hi - lo)"],
+        "LmaConfig": ["self.window_len < self.horizon"],
+        "TrainConfig": ["self.context_length < self.horizon"],
+        "HoltWintersConfig": [],
+        "SweepConfig": ["not is_increasing_counts(self.steps)"],
+        "SplitSpec": ["self.pred_end < self.pred_start"],
+    }
+    package = os.path.join(ROOT, "src", "cellcast")
+    found, constant_compares = {}, []
+    for folder, _, files in os.walk(package):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+                post = [n for n in cls.body if getattr(n, "name", None) == "__post_init__"]
+                calls = [n for p in post for n in ast.walk(p) if isinstance(n, ast.Call)]
+                if not any(getattr(c.func, "id", None) == "check_field_types" for c in calls):
+                    continue
+                guarded = [
+                    (ast.unparse(node.test), n)
+                    for node in ast.walk(post[0])
+                    if isinstance(node, ast.If)
+                    for n in node.body
+                    if isinstance(n, ast.Raise)
+                ]
+                raises = [n for n in ast.walk(post[0]) if isinstance(n, ast.Raise)]
+                found[cls.name] = [test for test, _ in guarded] + ["unguarded raise"] * (
+                    len(raises) - len(guarded)
+                )
+                constant_compares += [
+                    (cls.name, ast.unparse(node))
+                    for node in ast.walk(post[0])
+                    if isinstance(node, ast.Compare)
+                    and any(
+                        isinstance(operand, ast.Constant)
+                        or (isinstance(operand, ast.UnaryOp) and isinstance(operand.operand, ast.Constant))
+                        for operand in [node.left, *node.comparators]
+                    )
+                ]
+    assert constant_compares == []
+    assert found == cross_field
 
 
 def test_artifact_digests_script_names_every_artifact(tmp_path):
